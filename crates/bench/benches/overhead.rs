@@ -11,7 +11,7 @@
 //!   rebuild-per-run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nanobench_core::{BenchSpec, Campaign, NanoBench, Session, NB_SEED};
+use nanobench_core::{BenchSpec, Campaign, Session, NB_SEED};
 use nanobench_uarch::port::MicroArch;
 
 const CFG: &str = "\
@@ -21,31 +21,32 @@ A1.02 UOPS_DISPATCHED_PORT.PORT_1
 D1.01 MEM_LOAD_RETIRED.L1_HIT
 ";
 
-fn setup(kernel: bool) -> NanoBench {
-    let mut nb = if kernel {
-        NanoBench::kernel(MicroArch::CoffeeLake)
+fn setup(kernel: bool) -> (Session, BenchSpec) {
+    let session = if kernel {
+        Session::kernel(MicroArch::CoffeeLake)
     } else {
-        NanoBench::user(MicroArch::CoffeeLake)
+        Session::user(MicroArch::CoffeeLake)
     };
-    nb.asm("nop")
+    let mut spec = BenchSpec::new();
+    spec.asm("nop")
         .unwrap()
         .config_str(CFG)
         .unwrap()
         .unroll_count(100)
         .n_measurements(10);
-    nb
+    (session, spec)
 }
 
 fn bench_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("nanobench_invocation");
     group.sample_size(10);
-    let mut kernel = setup(true);
+    let (mut kernel, spec) = setup(true);
     group.bench_function("kernel_nop_u100_n10", |b| {
-        b.iter(|| kernel.run().expect("runs"))
+        b.iter(|| kernel.run(&spec).expect("runs"))
     });
-    let mut user = setup(false);
+    let (mut user, spec) = setup(false);
     group.bench_function("user_nop_u100_n10", |b| {
-        b.iter(|| user.run().expect("runs"))
+        b.iter(|| user.run(&spec).expect("runs"))
     });
     group.finish();
 }

@@ -8,7 +8,7 @@
 //! nMeasurements. Absolute numbers depend on the simulator host.
 
 use nanobench_bench::write_metrics_json;
-use nanobench_core::NanoBench;
+use nanobench_core::{BenchSpec, Session};
 use nanobench_uarch::port::MicroArch;
 use std::time::Instant;
 
@@ -20,12 +20,13 @@ D1.01 MEM_LOAD_RETIRED.L1_HIT
 ";
 
 fn time_version(kernel: bool) -> f64 {
-    let mut nb = if kernel {
-        NanoBench::kernel(MicroArch::CoffeeLake)
+    let mut session = if kernel {
+        Session::kernel(MicroArch::CoffeeLake)
     } else {
-        NanoBench::user(MicroArch::CoffeeLake)
+        Session::user(MicroArch::CoffeeLake)
     };
-    nb.asm("nop")
+    let mut spec = BenchSpec::new();
+    spec.asm("nop")
         .unwrap()
         .config_str(CFG)
         .unwrap()
@@ -35,7 +36,7 @@ fn time_version(kernel: bool) -> f64 {
     let start = Instant::now();
     let reps = 20;
     for _ in 0..reps {
-        nb.run().expect("nop benchmark runs");
+        session.run(&spec).expect("nop benchmark runs");
     }
     start.elapsed().as_secs_f64() * 1000.0 / reps as f64
 }

@@ -5,14 +5,15 @@
 //! reduces but does not eliminate the variance; (3) LFENCE-based
 //! measurements are stable, which is why nanoBench uses LFENCE.
 
-use nanobench_core::{Aggregate, NanoBench};
+use nanobench_core::{Aggregate, BenchSpec, Session};
 use nanobench_uarch::port::MicroArch;
 
 fn spread(asm: &str, init: &str) -> (f64, f64) {
     let mut lo = f64::MAX;
     let mut hi = f64::MIN;
-    let mut nb = NanoBench::kernel(MicroArch::Skylake);
-    nb.asm(asm)
+    let mut session = Session::kernel(MicroArch::Skylake);
+    let mut spec = BenchSpec::new();
+    spec.asm(asm)
         .unwrap()
         .asm_init(init)
         .unwrap()
@@ -20,7 +21,11 @@ fn spread(asm: &str, init: &str) -> (f64, f64) {
         .n_measurements(1)
         .aggregate(Aggregate::Min);
     for _ in 0..25 {
-        let v = nb.run().expect("runs").core_cycles().unwrap_or(0.0);
+        let v = session
+            .run(&spec)
+            .expect("runs")
+            .core_cycles()
+            .unwrap_or(0.0);
         lo = lo.min(v);
         hi = hi.max(v);
     }

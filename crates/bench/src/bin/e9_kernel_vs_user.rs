@@ -7,16 +7,17 @@
 //! user runs are perturbed by interrupt injection.
 
 use nanobench_bench::write_metrics_json;
-use nanobench_core::{Aggregate, NanoBench};
+use nanobench_core::{Aggregate, BenchSpec, Session};
 use nanobench_uarch::port::MicroArch;
 
 fn spread(kernel: bool) -> (f64, f64) {
-    let mut nb = if kernel {
-        NanoBench::kernel(MicroArch::Skylake)
+    let mut session = if kernel {
+        Session::kernel(MicroArch::Skylake)
     } else {
-        NanoBench::user(MicroArch::Skylake)
+        Session::user(MicroArch::Skylake)
     };
-    nb.asm("add rax, rax")
+    let mut spec = BenchSpec::new();
+    spec.asm("add rax, rax")
         .unwrap()
         .unroll_count(50)
         .loop_count(2000)
@@ -25,7 +26,11 @@ fn spread(kernel: bool) -> (f64, f64) {
     let mut lo = f64::MAX;
     let mut hi = f64::MIN;
     for _ in 0..12 {
-        let v = nb.run().expect("runs").core_cycles().unwrap_or(0.0);
+        let v = session
+            .run(&spec)
+            .expect("runs")
+            .core_cycles()
+            .unwrap_or(0.0);
         lo = lo.min(v);
         hi = hi.max(v);
     }

@@ -23,7 +23,7 @@ use crate::policy_fit::{fit_policy, FitResult};
 use nanobench_cache::policy::PolicyKind;
 use nanobench_cache::CpuSpec;
 use nanobench_core::NbError;
-use nanobench_store::{Fnv1a, ResultStore, StoreKey};
+use nanobench_store::{ByteReader, ByteWriter, Fnv1a, ResultStore, StoreKey};
 use std::hash::{Hash, Hasher};
 
 /// Version of [`FitResult`]'s persistent-store encoding. Bump on any
@@ -127,13 +127,12 @@ pub fn run_infer(req: &InferRequest) -> Result<FitResult, NbError> {
 ///
 /// Propagates [`run_infer`] errors and store I/O failures.
 pub fn run_infer_stored(req: &InferRequest, store: &ResultStore) -> Result<FitResult, NbError> {
-    let key = req.store_key();
-    if let Some(fit) = store.get(&key).and_then(|b| fit_result_from_bytes(&b)) {
-        return Ok(fit);
-    }
-    let fit = run_infer(req)?;
-    store.insert(key, &fit_result_to_bytes(&fit))?;
-    Ok(fit)
+    store.get_or_compute(
+        req.store_key(),
+        fit_result_from_bytes,
+        fit_result_to_bytes,
+        || run_infer(req),
+    )
 }
 
 /// Serializes a [`FitResult`] for the persistent store (version
@@ -142,47 +141,35 @@ pub fn run_infer_stored(req: &InferRequest, store: &ResultStore) -> Result<FitRe
 /// in-memory representations, so the payload survives representation
 /// changes and round-trips through [`PolicyKind::parse`].
 pub fn fit_result_to_bytes(fit: &FitResult) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(fit.sequences_tested as u32).to_le_bytes());
-    out.extend_from_slice(&(fit.matching.len() as u32).to_le_bytes());
+    let mut w = ByteWriter::new();
+    w.put_u32(fit.sequences_tested as u32)
+        .put_u32(fit.matching.len() as u32);
     for class in &fit.matching {
-        out.extend_from_slice(&(class.len() as u32).to_le_bytes());
+        w.put_u32(class.len() as u32);
         for kind in class {
-            let name = kind.name();
-            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
+            w.put_str(&kind.name());
         }
     }
-    out
+    w.into_bytes()
 }
 
 /// Decodes a [`FitResult`] from its store encoding. Returns `None` for
 /// any malformed input, including policy names the current candidate
 /// library no longer parses — the caller then recomputes.
 pub fn fit_result_from_bytes(bytes: &[u8]) -> Option<FitResult> {
-    fn take<'a>(rest: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-        let (head, tail) = rest.split_at_checked(n)?;
-        *rest = tail;
-        Some(head)
-    }
-    fn take_u32(rest: &mut &[u8]) -> Option<usize> {
-        Some(u32::from_le_bytes(take(rest, 4)?.try_into().ok()?) as usize)
-    }
-    let mut rest = bytes;
-    let sequences_tested = take_u32(&mut rest)?;
-    let n_classes = take_u32(&mut rest)?;
+    let mut r = ByteReader::new(bytes);
+    let sequences_tested = r.take_u32()? as usize;
+    let n_classes = r.take_u32()? as usize;
     let mut matching = Vec::with_capacity(n_classes.min(1024));
     for _ in 0..n_classes {
-        let n_members = take_u32(&mut rest)?;
+        let n_members = r.take_u32()? as usize;
         let mut class = Vec::with_capacity(n_members.min(1024));
         for _ in 0..n_members {
-            let name_len = take_u32(&mut rest)?;
-            let name = std::str::from_utf8(take(&mut rest, name_len)?).ok()?;
-            class.push(PolicyKind::parse(name).ok()?);
+            class.push(PolicyKind::parse(r.take_str()?).ok()?);
         }
         matching.push(class);
     }
-    rest.is_empty().then_some(FitResult {
+    r.finish(FitResult {
         matching,
         sequences_tested,
     })

@@ -13,28 +13,32 @@
 //! counter multiplexing from configuration files (§III-J), and a
 //! `nanoBench.sh`-style option interface ([`shell`]).
 //!
-//! Campaigns — many benchmarks against the same machine model — should use
-//! the [`session`] module: a [`Session`] amortizes machine construction
-//! across runs and a [`Campaign`] shards runs over worker threads with
-//! bit-deterministic results ([`session`] has the seeding scheme).
+//! There is one way to run a benchmark: a [`Session`] owns the simulated
+//! machine and the §III-G memory areas, a [`BenchSpec`] describes one
+//! benchmark, and [`Session::run`] measures the spec on the session. A
+//! session is reusable — [`Session::reset`] restores the deterministic
+//! initial state without reallocating — and a [`Campaign`] shards many
+//! specs over worker threads with bit-deterministic results ([`session`]
+//! has the seeding scheme), optionally answering repeated jobs from a
+//! persistent result store.
 //!
 //! # Examples
 //!
 //! The paper's §III-A example — L1 data cache latency on Skylake:
 //!
 //! ```
-//! use nanobench_core::NanoBench;
+//! use nanobench_core::{BenchSpec, Session};
 //! use nanobench_uarch::port::MicroArch;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let mut nb = NanoBench::kernel(MicroArch::Skylake);
-//! let result = nb
-//!     .asm("mov R14, [R14]")?
+//! let mut session = Session::kernel(MicroArch::Skylake);
+//! let mut spec = BenchSpec::new();
+//! spec.asm("mov R14, [R14]")?
 //!     .asm_init("mov [R14], R14")?
 //!     .config_str(nanobench_pmu::config::cfg_skylake())?
 //!     .unroll_count(100)
-//!     .warm_up_count(1)
-//!     .run()?;
+//!     .warm_up_count(1);
+//! let result = session.run(&spec)?;
 //! assert_eq!(result.get("Instructions retired"), Some(1.0));
 //! assert_eq!(result.core_cycles(), Some(4.0));
 //! assert_eq!(result.get("MEM_LOAD_RETIRED.L1_HIT"), Some(1.0));
@@ -46,14 +50,12 @@
 
 pub mod codegen;
 pub mod error;
-pub mod nanobench;
 pub mod result;
 pub mod runner;
 pub mod session;
 pub mod shell;
 
 pub use error::NbError;
-pub use nanobench::NanoBench;
 pub use result::{BenchmarkResult, RESULT_FORMAT_VERSION};
 pub use runner::Aggregate;
 pub use session::{auto_workers, parallel_map, BenchSpec, Campaign, LintGate, Session, NB_SEED};

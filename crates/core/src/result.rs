@@ -1,5 +1,6 @@
 //! Benchmark results, formatted like the paper's §III-A example output.
 
+use nanobench_store::{ByteReader, ByteWriter};
 use std::fmt;
 
 /// Names of the three fixed-function counters, in output order.
@@ -57,35 +58,26 @@ impl BenchmarkResult {
     /// compares equal to `r` even for NaN-free float edge cases like
     /// negative zero.
     pub fn to_store_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
+        let mut w = ByteWriter::new();
+        w.put_u32(self.entries.len() as u32);
         for (name, value) in &self.entries {
-            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&value.to_bits().to_le_bytes());
+            w.put_str(name).put_f64(*value);
         }
-        out
+        w.into_bytes()
     }
 
     /// Decodes a result from its store encoding. Returns `None` for any
     /// malformed input (a stale or corrupt payload means the job
     /// recomputes — it is never an error).
     pub fn from_store_bytes(bytes: &[u8]) -> Option<BenchmarkResult> {
-        let mut rest = bytes;
-        let mut take = |n: usize| -> Option<&[u8]> {
-            let (head, tail) = rest.split_at_checked(n)?;
-            rest = tail;
-            Some(head)
-        };
-        let count = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
+        let mut r = ByteReader::new(bytes);
+        let count = r.take_u32()? as usize;
         let mut entries = Vec::with_capacity(count.min(1024));
         for _ in 0..count {
-            let name_len = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
-            let name = std::str::from_utf8(take(name_len)?).ok()?.to_string();
-            let value = f64::from_bits(u64::from_le_bytes(take(8)?.try_into().ok()?));
-            entries.push((name, value));
+            let name = r.take_str()?.to_string();
+            entries.push((name, r.take_f64()?));
         }
-        rest.is_empty().then(|| BenchmarkResult::new(entries))
+        r.finish(BenchmarkResult::new(entries))
     }
 }
 

@@ -114,7 +114,7 @@ pub fn run_once(
     if machine.mode() == Mode::User {
         match stub_plan {
             Some(stub) => machine.run_plan(stub)?,
-            None => machine.run(&user_syscall_stub())?,
+            None => machine.run_plan(&machine.decode(&user_syscall_stub()))?,
         };
     }
     if corunner_plans.is_empty() {

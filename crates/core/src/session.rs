@@ -17,8 +17,8 @@
 //!   `base_seed ^ j`, so results are bit-identical regardless of the
 //!   worker count and identical to running the jobs sequentially.
 //!
-//! The legacy [`crate::NanoBench`] builder is a thin facade over a
-//! `Session` plus a `BenchSpec`.
+//! [`Session::run`] is the one way to run a spec; the shell interface
+//! ([`crate::shell`]) builds a `Session` plus a `BenchSpec` and calls it.
 
 use crate::codegen::{self, Arenas, CodegenRequest, ARENA_REGS, ARENA_SIZE, NO_MEM_ACC_REGS};
 use crate::error::NbError;
@@ -907,15 +907,12 @@ impl Campaign {
                 seed: self.base_seed ^ j as u64,
                 version: RESULT_FORMAT_VERSION,
             };
-            if let Some(result) = store
-                .get(&key)
-                .and_then(|b| BenchmarkResult::from_store_bytes(&b))
-            {
-                return Ok(result);
-            }
-            let result = session.run(spec)?;
-            store.insert(key, &result.to_store_bytes())?;
-            Ok(result)
+            store.get_or_compute(
+                key,
+                BenchmarkResult::from_store_bytes,
+                BenchmarkResult::to_store_bytes,
+                || session.run(spec),
+            )
         })
     }
 

@@ -4,10 +4,9 @@
 //! command-line options").
 
 use crate::error::NbError;
-use crate::nanobench::NanoBench;
 use crate::result::BenchmarkResult;
 use crate::runner::Aggregate;
-use crate::session::LintGate;
+use crate::session::{BenchSpec, LintGate, Session};
 use nanobench_analysis::Span;
 use nanobench_uarch::port::MicroArch;
 
@@ -134,7 +133,8 @@ fn resolve_config(value: &str) -> &str {
     }
 }
 
-/// Applies `nanoBench.sh`-style options to a runner.
+/// Applies `nanoBench.sh`-style options: benchmark options configure
+/// `spec`, and `-lint` sets `session`'s gate.
 ///
 /// Supported options (subset of the real tool's, §III-E):
 /// `-asm`, `-asm_init`, `-code` (machine-code bytes as a hex string — the
@@ -150,7 +150,11 @@ fn resolve_config(value: &str) -> &str {
 /// offending token, renderable with [`caret_line`] — for unknown options
 /// and malformed or missing values, and parse errors for
 /// `-asm`/`-code`/`-config` payloads.
-pub fn apply_options(nb: &mut NanoBench, line: &str) -> Result<(), NbError> {
+pub fn apply_options(
+    session: &mut Session,
+    spec: &mut BenchSpec,
+    line: &str,
+) -> Result<(), NbError> {
     let tokens = tokenize_spanned(line)?;
     let mut i = 0usize;
     let value = |i: &mut usize, name: &str, span: Span| -> Result<(String, Span), NbError> {
@@ -165,53 +169,53 @@ pub fn apply_options(nb: &mut NanoBench, line: &str) -> Result<(), NbError> {
         match token.as_str() {
             "-asm" => {
                 let (v, _) = value(&mut i, "-asm", *span)?;
-                nb.asm(&v)?;
+                spec.asm(&v)?;
             }
             "-asm_init" => {
                 let (v, _) = value(&mut i, "-asm_init", *span)?;
-                nb.asm_init(&v)?;
+                spec.asm_init(&v)?;
             }
             "-code" => {
                 let (v, vspan) = value(&mut i, "-code", *span)?;
-                nb.code_bytes(&parse_hex_bytes(&v).map_err(at(vspan))?)?;
+                spec.code_bytes(&parse_hex_bytes(&v).map_err(at(vspan))?)?;
             }
             "-config" => {
                 let (v, _) = value(&mut i, "-config", *span)?;
-                nb.config_str(resolve_config(&v))?;
+                spec.config_str(resolve_config(&v))?;
             }
             "-unroll_count" => {
                 let (v, vspan) = value(&mut i, "-unroll_count", *span)?;
-                nb.unroll_count(parse_num(&v).map_err(at(vspan))?);
+                spec.unroll_count(parse_num(&v).map_err(at(vspan))?);
             }
             "-loop_count" => {
                 let (v, vspan) = value(&mut i, "-loop_count", *span)?;
-                nb.loop_count(parse_num(&v).map_err(at(vspan))? as u64);
+                spec.loop_count(parse_num(&v).map_err(at(vspan))? as u64);
             }
             "-n_measurements" => {
                 let (v, vspan) = value(&mut i, "-n_measurements", *span)?;
-                nb.n_measurements(parse_num(&v).map_err(at(vspan))?);
+                spec.n_measurements(parse_num(&v).map_err(at(vspan))?);
             }
             "-warm_up_count" => {
                 let (v, vspan) = value(&mut i, "-warm_up_count", *span)?;
-                nb.warm_up_count(parse_num(&v).map_err(at(vspan))?);
+                spec.warm_up_count(parse_num(&v).map_err(at(vspan))?);
             }
             "-min" => {
-                nb.aggregate(Aggregate::Min);
+                spec.aggregate(Aggregate::Min);
             }
             "-median" => {
-                nb.aggregate(Aggregate::Median);
+                spec.aggregate(Aggregate::Median);
             }
             "-avg" => {
-                nb.aggregate(Aggregate::TrimmedMean);
+                spec.aggregate(Aggregate::TrimmedMean);
             }
             "-basic_mode" => {
-                nb.basic_mode(true);
+                spec.basic_mode(true);
             }
             "-no_mem" => {
-                nb.no_mem(true);
+                spec.no_mem(true);
             }
             "-lint" => {
-                nb.lint(LintGate::Deny);
+                session.lint(LintGate::Deny);
             }
             other => {
                 return Err(NbError::OptionAt {
@@ -257,9 +261,7 @@ fn parse_num(v: &str) -> Result<usize, NbError> {
 /// # }
 /// ```
 pub fn kernel_nanobench(uarch: MicroArch, options: &str) -> Result<BenchmarkResult, NbError> {
-    let mut nb = NanoBench::kernel(uarch);
-    apply_options(&mut nb, options)?;
-    nb.run()
+    run_options(Session::kernel(uarch), options)
 }
 
 /// Runs `./nanoBench.sh <options>` (user-space version) on a fresh machine.
@@ -270,14 +272,22 @@ pub fn kernel_nanobench(uarch: MicroArch, options: &str) -> Result<BenchmarkResu
 /// privileged instructions fail with a CPU fault here — use
 /// [`kernel_nanobench`] for those (§III-D).
 pub fn user_nanobench(uarch: MicroArch, options: &str) -> Result<BenchmarkResult, NbError> {
-    let mut nb = NanoBench::user(uarch);
-    apply_options(&mut nb, options)?;
-    nb.run()
+    run_options(Session::user(uarch), options)
+}
+
+fn run_options(mut session: Session, options: &str) -> Result<BenchmarkResult, NbError> {
+    let mut spec = BenchSpec::new();
+    apply_options(&mut session, &mut spec, options)?;
+    session.run(&spec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn kernel_runner() -> (Session, BenchSpec) {
+        (Session::kernel(MicroArch::Skylake), BenchSpec::new())
+    }
 
     #[test]
     fn tokenizer_handles_quotes() {
@@ -293,8 +303,8 @@ mod tests {
             let err = tokenize(line).unwrap_err();
             assert!(err.to_string().contains("unterminated"), "`{line}`: {err}");
             // And the error propagates out of the option parser.
-            let mut nb = NanoBench::kernel(MicroArch::Skylake);
-            assert!(apply_options(&mut nb, line).is_err());
+            let (mut session, mut spec) = kernel_runner();
+            assert!(apply_options(&mut session, &mut spec, line).is_err());
         }
     }
 
@@ -333,17 +343,17 @@ mod tests {
         .unwrap();
         assert!(sse.core_cycles().unwrap() > 0.0);
         // Malformed hex is an option error, not a silent no-op.
-        let mut nb = NanoBench::kernel(MicroArch::Skylake);
-        assert!(apply_options(&mut nb, "-code 4D8").is_err());
-        assert!(apply_options(&mut nb, "-code XY").is_err());
+        let (mut session, mut spec) = kernel_runner();
+        assert!(apply_options(&mut session, &mut spec, "-code 4D8").is_err());
+        assert!(apply_options(&mut session, &mut spec, "-code XY").is_err());
     }
 
     #[test]
     fn option_errors_carry_spans() {
-        let mut nb = NanoBench::kernel(MicroArch::Skylake);
+        let (mut session, mut spec) = kernel_runner();
         // Unknown option: the span covers exactly the offending token.
         let line = r#"-asm "add rax, rax" -frobnicate 3"#;
-        let err = apply_options(&mut nb, line).unwrap_err();
+        let err = apply_options(&mut session, &mut spec, line).unwrap_err();
         let NbError::OptionAt { span, .. } = err else {
             panic!("expected OptionAt, got {err}");
         };
@@ -357,14 +367,14 @@ mod tests {
         );
         // A malformed value points at the value, not the option name.
         let line = "-code 4D8";
-        let err = apply_options(&mut nb, line).unwrap_err();
+        let err = apply_options(&mut session, &mut spec, line).unwrap_err();
         let NbError::OptionAt { span, .. } = err else {
             panic!("expected OptionAt, got {err}");
         };
         assert_eq!(&line[span.start as usize..span.end() as usize], "4D8");
         // A missing value points back at the option that wanted one.
         let line = "-unroll_count";
-        let err = apply_options(&mut nb, line).unwrap_err();
+        let err = apply_options(&mut session, &mut spec, line).unwrap_err();
         let NbError::OptionAt { span, .. } = err else {
             panic!("expected OptionAt, got {err}");
         };
@@ -399,15 +409,15 @@ mod tests {
 
     #[test]
     fn unknown_option_is_error() {
-        let mut nb = NanoBench::kernel(MicroArch::Skylake);
-        let err = apply_options(&mut nb, "-frobnicate 3").unwrap_err();
+        let (mut session, mut spec) = kernel_runner();
+        let err = apply_options(&mut session, &mut spec, "-frobnicate 3").unwrap_err();
         assert!(err.to_string().contains("unknown option"));
     }
 
     #[test]
     fn missing_value_is_error() {
-        let mut nb = NanoBench::kernel(MicroArch::Skylake);
-        assert!(apply_options(&mut nb, "-unroll_count").is_err());
-        assert!(apply_options(&mut nb, "-loop_count abc").is_err());
+        let (mut session, mut spec) = kernel_runner();
+        assert!(apply_options(&mut session, &mut spec, "-unroll_count").is_err());
+        assert!(apply_options(&mut session, &mut spec, "-loop_count abc").is_err());
     }
 }

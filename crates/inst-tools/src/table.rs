@@ -4,7 +4,7 @@
 
 use crate::measure::{measure_instruction_on, InstMeasurement, InstSpec};
 use nanobench_core::{Campaign, NbError};
-use nanobench_store::{ResultStore, StoreKey};
+use nanobench_store::{ByteReader, ByteWriter, ResultStore, StoreKey};
 use nanobench_uarch::port::MicroArch;
 use serde::Serialize;
 
@@ -47,53 +47,32 @@ impl TableRow {
     /// [`TABLE_FORMAT_VERSION`]): length-prefixed strings and IEEE-754
     /// bits, all little-endian, bit-exact on round trip.
     pub fn to_store_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let put_str = |out: &mut Vec<u8>, s: &str| {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        };
-        put_str(&mut out, &self.name);
+        let mut w = ByteWriter::new();
+        w.put_str(&self.name);
         match self.latency {
-            Some(l) => {
-                out.push(1);
-                out.extend_from_slice(&l.to_bits().to_le_bytes());
-            }
-            None => out.push(0),
-        }
-        out.extend_from_slice(&self.throughput.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.uops.to_bits().to_le_bytes());
-        put_str(&mut out, &self.ports);
-        out
+            Some(l) => w.put_u8(1).put_f64(l),
+            None => w.put_u8(0),
+        };
+        w.put_f64(self.throughput)
+            .put_f64(self.uops)
+            .put_str(&self.ports);
+        w.into_bytes()
     }
 
     /// Decodes a row from its store encoding; `None` for any malformed
     /// input (the caller then re-measures).
     pub fn from_store_bytes(bytes: &[u8]) -> Option<TableRow> {
-        fn take<'a>(rest: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-            let (head, tail) = rest.split_at_checked(n)?;
-            *rest = tail;
-            Some(head)
-        }
-        fn take_f64(rest: &mut &[u8]) -> Option<f64> {
-            Some(f64::from_bits(u64::from_le_bytes(
-                take(rest, 8)?.try_into().ok()?,
-            )))
-        }
-        fn take_str(rest: &mut &[u8]) -> Option<String> {
-            let len = u32::from_le_bytes(take(rest, 4)?.try_into().ok()?) as usize;
-            Some(std::str::from_utf8(take(rest, len)?).ok()?.to_string())
-        }
-        let mut rest = bytes;
-        let name = take_str(&mut rest)?;
-        let latency = match take(&mut rest, 1)?[0] {
+        let mut r = ByteReader::new(bytes);
+        let name = r.take_str()?.to_string();
+        let latency = match r.take_u8()? {
             0 => None,
-            1 => Some(take_f64(&mut rest)?),
+            1 => Some(r.take_f64()?),
             _ => return None,
         };
-        let throughput = take_f64(&mut rest)?;
-        let uops = take_f64(&mut rest)?;
-        let ports = take_str(&mut rest)?;
-        rest.is_empty().then_some(TableRow {
+        let throughput = r.take_f64()?;
+        let uops = r.take_f64()?;
+        let ports = r.take_str()?.to_string();
+        r.finish(TableRow {
             name,
             latency,
             throughput,
@@ -396,12 +375,12 @@ pub fn run_suite_stored(
             seed: campaign.seed() ^ j as u64,
             version: TABLE_FORMAT_VERSION,
         };
-        if let Some(row) = store.get(&key).and_then(|b| TableRow::from_store_bytes(&b)) {
-            return Ok(row);
-        }
-        let row = measure_instruction_on(session, spec).map(TableRow::from)?;
-        store.insert(key, &row.to_store_bytes())?;
-        Ok(row)
+        store.get_or_compute(
+            key,
+            TableRow::from_store_bytes,
+            TableRow::to_store_bytes,
+            || measure_instruction_on(session, spec).map(TableRow::from),
+        )
     })
 }
 

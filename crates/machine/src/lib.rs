@@ -4,6 +4,13 @@
 //! paper), kmalloc plus the greedy physically-contiguous allocator
 //! (§IV-D), user-mode interrupt injection (§IV-A2) and MSR dispatch.
 //!
+//! A program runs in two steps: [`Machine::decode`] turns it into a
+//! reusable execution plan (pure static decode, no machine state), and
+//! [`Machine::run_plan`] runs the plan on the measured core's current
+//! architectural state. Callers that run a program repeatedly decode it
+//! once; co-runner programs on the other cores go through
+//! [`Machine::run_plan_with_corunners`].
+//!
 //! # Examples
 //!
 //! ```
@@ -14,7 +21,10 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut m = Machine::new(MicroArch::Skylake, Mode::Kernel, 42);
-//! m.run(&parse_asm("mov rax, 6; add rax, 7")?)?;
+//! let plan = m.decode(&parse_asm("mov rax, 6; add rax, 7")?);
+//! m.run_plan(&plan)?;
+//! assert_eq!(m.state().gpr(Gpr::Rax), 13);
+//! m.run_plan(&plan)?; // replays without re-decoding
 //! assert_eq!(m.state().gpr(Gpr::Rax), 13);
 //! # Ok(())
 //! # }

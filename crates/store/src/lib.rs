@@ -22,10 +22,17 @@
 //!   is specified (FNV-1a over little-endian byte encodings), so keys
 //!   derived from it stay valid across processes and toolchain versions.
 //!
+//! * [`ByteWriter`] / [`ByteReader`] are the one byte codec: little-endian
+//!   integers, IEEE-754 bit patterns and length-prefixed strings. The
+//!   record framing and every cached value's encoding are written with
+//!   them.
+//!
 //! The store holds raw byte payloads; callers own the value encoding and
 //! version it through [`StoreKey::version`] (see `BenchmarkResult`'s store
-//! codec in `nanobench-core` and the policy-fit codec in
-//! `nanobench-cache-tools`).
+//! codec in `nanobench-core`, `TableRow`'s in `nanobench-inst-tools` and
+//! the policy-fit codec in `nanobench-cache-tools`).
+//! [`ResultStore::get_or_compute`] is the one get-or-compute path the
+//! stored drivers share.
 
 #![warn(missing_docs)]
 
@@ -138,6 +145,135 @@ pub fn fingerprint<T: Hash + ?Sized>(value: &T) -> u64 {
     let mut h = Fnv1a::new();
     value.hash(&mut h);
     h.finish()
+}
+
+/// Appends little-endian fields to a byte payload.
+///
+/// Strings are a `u32` byte length followed by their UTF-8 bytes; floats
+/// are their IEEE-754 bits, so a round trip is bit-exact (negative zero
+/// stays negative zero).
+#[derive(Debug, Default)]
+pub struct ByteWriter {
+    buf: Vec<u8>,
+}
+
+impl ByteWriter {
+    /// An empty payload.
+    pub fn new() -> ByteWriter {
+        ByteWriter::default()
+    }
+
+    /// Appends one byte.
+    pub fn put_u8(&mut self, v: u8) -> &mut ByteWriter {
+        self.buf.push(v);
+        self
+    }
+
+    /// Appends a little-endian `u32`.
+    pub fn put_u32(&mut self, v: u32) -> &mut ByteWriter {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    /// Appends a little-endian `u64`.
+    pub fn put_u64(&mut self, v: u64) -> &mut ByteWriter {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    /// Appends a float's IEEE-754 bits, little-endian.
+    pub fn put_f64(&mut self, v: f64) -> &mut ByteWriter {
+        self.put_u64(v.to_bits())
+    }
+
+    /// Appends a `u32` length prefix and the bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is 4 GiB or longer: the prefix could not hold its
+    /// length, and a truncated prefix would corrupt every later field.
+    pub fn put_bytes(&mut self, bytes: &[u8]) -> &mut ByteWriter {
+        let len = u32::try_from(bytes.len()).expect("store fields are under 4 GiB");
+        self.put_u32(len);
+        self.buf.extend_from_slice(bytes);
+        self
+    }
+
+    /// Appends a length-prefixed UTF-8 string.
+    pub fn put_str(&mut self, s: &str) -> &mut ByteWriter {
+        self.put_bytes(s.as_bytes())
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// The finished payload.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
+    }
+}
+
+/// Reads the fields a [`ByteWriter`] wrote, in the same order.
+///
+/// Every `take_*` returns `None` when the input is too short, so a
+/// truncated or corrupt payload decodes to `None` without panicking; a
+/// length prefix is checked against the remaining input before anything
+/// is sliced, so a bogus length never allocates.
+#[derive(Debug)]
+pub struct ByteReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> ByteReader<'a> {
+    /// Starts reading at the beginning of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> ByteReader<'a> {
+        ByteReader { rest: bytes }
+    }
+
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, tail) = self.rest.split_at_checked(n)?;
+        self.rest = tail;
+        Some(head)
+    }
+
+    /// Reads one byte.
+    pub fn take_u8(&mut self) -> Option<u8> {
+        Some(self.take(1)?[0])
+    }
+
+    /// Reads a little-endian `u32`.
+    pub fn take_u32(&mut self) -> Option<u32> {
+        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
+    }
+
+    /// Reads a little-endian `u64`.
+    pub fn take_u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    }
+
+    /// Reads a float from its IEEE-754 bits.
+    pub fn take_f64(&mut self) -> Option<f64> {
+        Some(f64::from_bits(self.take_u64()?))
+    }
+
+    /// Reads length-prefixed bytes.
+    pub fn take_bytes(&mut self) -> Option<&'a [u8]> {
+        let len = self.take_u32()? as usize;
+        self.take(len)
+    }
+
+    /// Reads a length-prefixed string; `None` if it is not UTF-8.
+    pub fn take_str(&mut self) -> Option<&'a str> {
+        std::str::from_utf8(self.take_bytes()?).ok()
+    }
+
+    /// Ends decoding: `Some(value)` only if the whole input was consumed,
+    /// so trailing bytes make the payload malformed.
+    pub fn finish<T>(self, value: T) -> Option<T> {
+        self.rest.is_empty().then_some(value)
+    }
 }
 
 /// The content address of one stored result.
@@ -346,24 +482,29 @@ impl ResultStore {
         Ok(())
     }
 
-    /// Looks up `key`, computing and publishing the value on a miss. The
-    /// computation returns the encoded payload; errors pass through and
-    /// nothing is stored.
+    /// The one get-or-compute path of the stored drivers: answers `key`
+    /// from the store when it holds a payload `decode` accepts, otherwise
+    /// runs `compute` and publishes the value's `encode`ing. An
+    /// undecodable payload (corruption, a stale encoding) counts as a hit
+    /// in [`ResultStore::stats`] but is recomputed and overwritten — never
+    /// an error.
     ///
     /// # Errors
     ///
-    /// The compute error `E` (which must absorb [`StoreError`] for the
-    /// publish step).
-    pub fn get_or_insert_with<E: From<StoreError>>(
+    /// The compute error `E`, or the publish step's [`StoreError`]
+    /// converted into it; nothing is stored when `compute` fails.
+    pub fn get_or_compute<T, E: From<StoreError>>(
         &self,
         key: StoreKey,
-        compute: impl FnOnce() -> Result<Vec<u8>, E>,
-    ) -> Result<Vec<u8>, E> {
-        if let Some(hit) = self.get(&key) {
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+        encode: impl FnOnce(&T) -> Vec<u8>,
+        compute: impl FnOnce() -> Result<T, E>,
+    ) -> Result<T, E> {
+        if let Some(hit) = self.get(&key).and_then(|bytes| decode(&bytes)) {
             return Ok(hit);
         }
         let value = compute()?;
-        self.insert(key, &value)?;
+        self.insert(key, &encode(&value))?;
         Ok(value)
     }
 
@@ -396,20 +537,21 @@ impl ResultStore {
     }
 }
 
-/// Serializes one record: key fields, payload length, payload, and a
+/// Serializes one record: key fields, length-prefixed payload, and a
 /// trailing FNV-1a checksum over everything before it.
 fn encode_record(key: &StoreKey, value: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_HEADER_LEN + value.len() + CHECKSUM_LEN);
-    out.extend_from_slice(&key.spec.to_le_bytes());
-    out.extend_from_slice(&key.uarch.to_le_bytes());
-    out.extend_from_slice(&key.seed.to_le_bytes());
-    out.extend_from_slice(&key.version.to_le_bytes());
-    out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-    out.extend_from_slice(value);
+    let mut w = ByteWriter {
+        buf: Vec::with_capacity(RECORD_HEADER_LEN + value.len() + CHECKSUM_LEN),
+    };
+    w.put_u64(key.spec)
+        .put_u64(key.uarch)
+        .put_u64(key.seed)
+        .put_u32(key.version)
+        .put_bytes(value);
     let mut h = Fnv1a::new();
-    h.write(&out);
-    out.extend_from_slice(&h.finish().to_le_bytes());
-    out
+    h.write(w.as_bytes());
+    w.put_u64(h.finish());
+    w.into_bytes()
 }
 
 /// Parses the record at `offset`, returning `None` for a clean end of log
@@ -417,29 +559,20 @@ fn encode_record(key: &StoreKey, value: &[u8]) -> Vec<u8> {
 /// the caller treats both as "the log ends here".
 fn read_record(data: &[u8], offset: usize) -> Option<(StoreKey, Vec<u8>)> {
     let rest = data.get(offset..)?;
-    if rest.len() < RECORD_HEADER_LEN + CHECKSUM_LEN {
-        return None;
-    }
-    let u64_at = |i: usize| u64::from_le_bytes(rest[i..i + 8].try_into().expect("8 bytes"));
-    let u32_at = |i: usize| u32::from_le_bytes(rest[i..i + 4].try_into().expect("4 bytes"));
-    let len = u32_at(28) as usize;
-    if len > MAX_VALUE_LEN || rest.len() < RECORD_HEADER_LEN + len + CHECKSUM_LEN {
-        return None;
-    }
-    let body = &rest[..RECORD_HEADER_LEN + len];
-    let mut h = Fnv1a::new();
-    h.write(body);
-    let stored = u64_at(RECORD_HEADER_LEN + len);
-    if h.finish() != stored {
-        return None;
-    }
+    let mut r = ByteReader::new(rest);
     let key = StoreKey {
-        spec: u64_at(0),
-        uarch: u64_at(8),
-        seed: u64_at(16),
-        version: u32_at(24),
+        spec: r.take_u64()?,
+        uarch: r.take_u64()?,
+        seed: r.take_u64()?,
+        version: r.take_u32()?,
     };
-    Some((key, body[RECORD_HEADER_LEN..].to_vec()))
+    let payload = r.take_bytes()?;
+    if payload.len() > MAX_VALUE_LEN {
+        return None;
+    }
+    let mut h = Fnv1a::new();
+    h.write(&rest[..RECORD_HEADER_LEN + payload.len()]);
+    (r.take_u64()? == h.finish()).then(|| (key, payload.to_vec()))
 }
 
 #[cfg(test)]
@@ -471,6 +604,70 @@ mod tests {
         let mut h = Fnv1a::new();
         h.write(b"nanobench");
         assert_eq!(h.finish(), 0xee71_689e_3016_35db);
+    }
+
+    /// Decodes the `(name, value, flag)` layout the writer test builds.
+    fn decode_sample(bytes: &[u8]) -> Option<(String, f64, u8)> {
+        let mut r = ByteReader::new(bytes);
+        let name = r.take_str()?.to_string();
+        let value = r.take_f64()?;
+        let flag = r.take_u8()?;
+        r.finish((name, value, flag))
+    }
+
+    #[test]
+    fn byte_codec_round_trips_and_rejects_malformed_input() {
+        let mut w = ByteWriter::new();
+        w.put_str("L1").put_f64(-0.0).put_u8(7);
+        let good = w.into_bytes();
+        assert_eq!(hex(&good), "020000004c31000000000000008007");
+        let (name, value, flag) = decode_sample(&good).unwrap();
+        assert_eq!((name.as_str(), flag), ("L1", 7));
+        assert_eq!(value.to_bits(), (-0.0f64).to_bits());
+
+        let mut trailing = good.clone();
+        trailing.push(0);
+        let mut bad_utf8 = good.clone();
+        bad_utf8[4] = 0xFF;
+        let mut huge_len = good.clone();
+        huge_len[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let cases: [(&str, &[u8]); 6] = [
+            ("empty", &[]),
+            ("truncated", &good[..good.len() - 1]),
+            ("truncated inside the string", &good[..5]),
+            ("trailing bytes", &trailing),
+            ("invalid UTF-8", &bad_utf8),
+            ("u32::MAX length prefix", &huge_len),
+        ];
+        for (what, bytes) in cases {
+            assert_eq!(decode_sample(bytes), None, "{what}");
+        }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn get_or_compute_decodes_hits_and_publishes_misses() {
+        let path = temp_path("get-or-compute");
+        let _ = std::fs::remove_file(&path);
+        let store = ResultStore::open(&path).unwrap();
+        let decode = |b: &[u8]| (b.len() == 1).then(|| b[0]);
+        let encode = |v: &u8| vec![*v];
+        let cold: Result<u8, StoreError> = store.get_or_compute(key(1), decode, encode, || Ok(5));
+        assert_eq!(cold.unwrap(), 5);
+        let warm: Result<u8, StoreError> =
+            store.get_or_compute(key(1), decode, encode, || unreachable!("answered warm"));
+        assert_eq!(warm.unwrap(), 5);
+        // An undecodable payload recomputes and overwrites.
+        store.insert(key(2), b"garbage").unwrap();
+        let healed: Result<u8, StoreError> = store.get_or_compute(key(2), decode, encode, || Ok(9));
+        assert_eq!(healed.unwrap(), 9);
+        assert_eq!(store.get(&key(2)).as_deref(), Some(&[9u8][..]));
+        let stats = store.stats();
+        assert_eq!((stats.hits, stats.misses, stats.inserts), (3, 1, 3));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -40,9 +40,8 @@
 //! * A plan is specific to a [`MicroArch`]: port classes are resolved to
 //!   concrete [`PortSet`]s at decode time. [`crate::engine::Engine::run_plan`]
 //!   debug-asserts the match.
-//! * The interpreter over a plan is **bit-identical** to the legacy
-//!   instruction-slice path ([`crate::engine::Engine::run`], which now
-//!   builds a transient plan): same PMU counts, cycles, and architectural
+//! * Replaying a cached plan is **bit-identical** to decoding a fresh
+//!   plan for every run: same PMU counts, cycles, and architectural
 //!   state, pinned by the `plan_equivalence` suite over the full corpus.
 
 use crate::descriptor::{is_move, DescriptorTable, PortClass, UopSpec};

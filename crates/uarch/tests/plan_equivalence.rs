@@ -1,10 +1,10 @@
-//! Plan-vs-legacy equivalence over the full corpus.
+//! Fresh-decode-vs-cached-plan equivalence over the full corpus.
 //!
-//! The decode-once plan layer must be a pure performance change: for every
-//! program in `x86::corpus` — in kernel mode and in user mode with
-//! interrupt injection enabled — the legacy instruction-slice path
-//! (`Engine::run`) and the cached-plan path (`Engine::decode` +
-//! `Engine::run_plan`, one plan replayed for every dynamic run) produce
+//! A decoded plan is pure static decode and must carry no state from one
+//! run to the next: for every program in `x86::corpus` — in kernel mode
+//! and in user mode with interrupt injection enabled — decoding a fresh
+//! plan for every run (`Engine::decode` + `Engine::run_plan` each time)
+//! and replaying one cached plan for every dynamic run produce
 //! bit-identical `RunStats`, PMU readings, and architectural state,
 //! including identical faults for the lines that fault.
 
@@ -206,10 +206,11 @@ impl Side {
 
 /// Runs every corpus line (as its own program, three dynamic runs each —
 /// the warm-up/counter-half shape that exercises plan reuse) plus a
-/// branchy looped program, on the legacy path and the cached-plan path,
-/// asserting bit-identical results after every run.
+/// branchy looped program, decoding a fresh plan every run on one side
+/// and replaying one cached plan on the other, asserting bit-identical
+/// results after every run.
 fn corpus_equivalence(kernel: bool) {
-    let mut legacy = Side::new(kernel);
+    let mut fresh = Side::new(kernel);
     let mut planned = Side::new(kernel);
 
     let mut programs: Vec<(String, Vec<Instruction>)> = ROUNDTRIP_CORPUS
@@ -232,12 +233,13 @@ fn corpus_equivalence(kernel: bool) {
         let plan = planned.engine.decode(program);
         assert_eq!(plan.len(), program.len());
         for round in 0..3 {
-            let a = legacy.engine.run(
-                program,
-                &mut legacy.state,
-                &mut legacy.pmu,
-                &mut legacy.bus,
-                legacy.cycle,
+            let fresh_plan = fresh.engine.decode(program);
+            let a = fresh.engine.run_plan(
+                &fresh_plan,
+                &mut fresh.state,
+                &mut fresh.pmu,
+                &mut fresh.bus,
+                fresh.cycle,
             );
             let b = planned.engine.run_plan(
                 &plan,
@@ -248,26 +250,26 @@ fn corpus_equivalence(kernel: bool) {
             );
             assert_eq!(a, b, "{name} (round {round}): RunStats/fault diverged");
             if let Ok(stats) = a {
-                legacy.cycle = stats.end_cycle;
+                fresh.cycle = stats.end_cycle;
                 planned.cycle = b.unwrap().end_cycle;
             }
             assert_eq!(
-                legacy.pmu_readings(),
+                fresh.pmu_readings(),
                 planned.pmu_readings(),
                 "{name} (round {round}): PMU diverged"
             );
             assert_eq!(
-                legacy.arch_state(),
+                fresh.arch_state(),
                 planned.arch_state(),
                 "{name} (round {round}): architectural state diverged"
             );
         }
     }
-    assert_eq!(legacy.cycle, planned.cycle);
-    assert_eq!(legacy.bus.interrupts_taken, planned.bus.interrupts_taken);
+    assert_eq!(fresh.cycle, planned.cycle);
+    assert_eq!(fresh.bus.interrupts_taken, planned.bus.interrupts_taken);
     if !kernel {
         assert!(
-            legacy.bus.interrupts_taken > 0,
+            fresh.bus.interrupts_taken > 0,
             "user-mode sweep must actually exercise interrupt injection"
         );
     }

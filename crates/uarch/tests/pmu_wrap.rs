@@ -7,7 +7,8 @@
 //! crosses 2^48 *inside* one batch. These tests park counters just below
 //! the boundary, run a looped program whose single batch carries them
 //! past it, and check both the absolute wrapped values and bit-identity
-//! with the unbatched legacy path, in kernel and user mode.
+//! between a freshly decoded plan and a cached one, in kernel and user
+//! mode.
 
 use nanobench_cache::hierarchy::CacheHierarchy;
 use nanobench_cache::presets::table1_cpus;
@@ -190,22 +191,23 @@ fn wrap_mid_batch(kernel: bool) {
     // Headroom 1: the very first increment of the batch crosses.
     // Headroom 500: the crossing lands mid-batch.
     for headroom in [1u64, 500] {
-        let mut legacy = Side::new(kernel);
+        let mut fresh = Side::new(kernel);
         let mut planned = Side::new(kernel);
         let program = parse_asm(LOOPED).unwrap();
         let plan = planned.engine.decode(&program);
 
-        let parks = legacy.park_counters(headroom);
+        let parks = fresh.park_counters(headroom);
         planned.park_counters(headroom);
         let park = parks[0];
 
-        let a = legacy
+        let fresh_plan = fresh.engine.decode(&program);
+        let a = fresh
             .engine
-            .run(
-                &program,
-                &mut legacy.state,
-                &mut legacy.pmu,
-                &mut legacy.bus,
+            .run_plan(
+                &fresh_plan,
+                &mut fresh.state,
+                &mut fresh.pmu,
+                &mut fresh.bus,
                 0,
             )
             .unwrap();
@@ -224,9 +226,9 @@ fn wrap_mid_batch(kernel: bool) {
             "kernel={kernel} headroom={headroom}: RunStats diverged"
         );
 
-        // The batched path must agree with the unbatched legacy path...
+        // The cached plan must agree with the freshly decoded one...
         assert_eq!(
-            legacy.readings(),
+            fresh.readings(),
             planned.readings(),
             "kernel={kernel} headroom={headroom}: wrapped readings diverged"
         );

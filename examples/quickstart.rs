@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use nanobench::nb::NanoBench;
+use nanobench::nb::{BenchSpec, Session};
 use nanobench::uarch::port::MicroArch;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -11,14 +11,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //   ./nanoBench.sh -asm "mov R14, [R14]"
     //                  -asm_init "mov [R14], R14"
     //                  -config cfg_Skylake.txt
-    let mut nb = NanoBench::kernel(MicroArch::Skylake);
-    let result = nb
-        .asm("mov R14, [R14]")?
+    let mut session = Session::kernel(MicroArch::Skylake);
+    let mut spec = BenchSpec::new();
+    spec.asm("mov R14, [R14]")?
         .asm_init("mov [R14], R14")?
         .config_str(nanobench::pmu::config::cfg_skylake())?
         .unroll_count(100)
-        .warm_up_count(2)
-        .run()?;
+        .warm_up_count(2);
+    let result = session.run(&spec)?;
 
     print!("{result}");
     println!();

@@ -5,7 +5,7 @@
 use nanobench::cache::presets::{cpu_by_microarch, table1_cpus};
 use nanobench::cache_tools::{fit_policy, AccessSeq, CacheSeq, Level};
 use nanobench::nb::shell::{kernel_nanobench, user_nanobench};
-use nanobench::nb::{Aggregate, NanoBench};
+use nanobench::nb::{Aggregate, BenchSpec, Session};
 use nanobench::uarch::port::MicroArch;
 
 #[test]
@@ -43,23 +43,21 @@ fn privileged_instructions_need_the_kernel_version() {
 fn loop_and_unroll_agree_on_throughput() {
     // §III-F: loops and unrolling are different ways to repeat code; for a
     // simple ALU benchmark they must agree on the steady-state result.
-    let mut unrolled = NanoBench::kernel(MicroArch::Skylake);
-    let u = unrolled
+    let mut unrolled = BenchSpec::new();
+    unrolled
         .asm("add rax, rax")
         .unwrap()
         .unroll_count(200)
-        .warm_up_count(2)
-        .run()
-        .unwrap();
-    let mut looped = NanoBench::kernel(MicroArch::Skylake);
-    let l = looped
+        .warm_up_count(2);
+    let u = Session::kernel(MicroArch::Skylake).run(&unrolled).unwrap();
+    let mut looped = BenchSpec::new();
+    looped
         .asm("add rax, rax")
         .unwrap()
         .unroll_count(20)
         .loop_count(100)
-        .warm_up_count(3)
-        .run()
-        .unwrap();
+        .warm_up_count(3);
+    let l = Session::kernel(MicroArch::Skylake).run(&looped).unwrap();
     assert_eq!(u.core_cycles(), Some(1.0), "dependency chain: 1 cycle/add");
     let looped_cycles = l.core_cycles().unwrap();
     assert!(
@@ -82,15 +80,13 @@ fn binary_code_input_with_magic_markers() {
     }
     bytes.extend_from_slice(&MAGIC_RESUME);
     bytes.extend_from_slice(&[0x48, 0x01, 0xC9]); // add rcx, rcx
-    let mut nb = NanoBench::kernel(MicroArch::Skylake);
-    let out = nb
-        .code_bytes(&bytes)
+    let mut spec = BenchSpec::new();
+    spec.code_bytes(&bytes)
         .unwrap()
         .no_mem(true)
         .unroll_count(10)
-        .warm_up_count(1)
-        .run()
-        .unwrap();
+        .warm_up_count(1);
+    let out = Session::kernel(MicroArch::Skylake).run(&spec).unwrap();
     let retired = out.get("Instructions retired").unwrap();
     assert!(
         (retired - 2.0).abs() < 0.2,
@@ -103,14 +99,15 @@ fn aggregate_functions_order_sensibly() {
     // In user mode (noisy), min <= median <= trimmed mean typically holds
     // for cycle counts perturbed by one-sided interrupt noise.
     let run = |agg| {
-        let mut nb = NanoBench::user(MicroArch::Skylake);
-        nb.asm("add rax, rax")
+        let mut spec = BenchSpec::new();
+        spec.asm("add rax, rax")
             .unwrap()
             .unroll_count(50)
             .loop_count(500)
             .n_measurements(15)
-            .aggregate(agg)
-            .run()
+            .aggregate(agg);
+        Session::user(MicroArch::Skylake)
+            .run(&spec)
             .unwrap()
             .core_cycles()
             .unwrap()
@@ -146,15 +143,13 @@ fn sequence_notation_round_trips_through_measurement() {
 fn every_table1_preset_boots_and_measures() {
     for cpu in table1_cpus() {
         let uarch = MicroArch::parse(cpu.microarch).unwrap();
-        let mut nb = NanoBench::kernel(uarch);
-        let out = nb
-            .asm("add rax, rax")
+        let mut spec = BenchSpec::new();
+        spec.asm("add rax, rax")
             .unwrap()
             .unroll_count(50)
             .warm_up_count(1)
-            .n_measurements(3)
-            .run()
-            .unwrap();
+            .n_measurements(3);
+        let out = Session::kernel(uarch).run(&spec).unwrap();
         let cyc = out.core_cycles().unwrap();
         assert!((cyc - 1.0).abs() < 0.05, "{}: {cyc}", cpu.model);
     }
@@ -163,7 +158,7 @@ fn every_table1_preset_boots_and_measures() {
 #[test]
 fn coherence_audit_is_clean_after_an_interference_run() {
     use nanobench::machine::Mode;
-    use nanobench::nb::{BenchSpec, Session, NB_SEED};
+    use nanobench::nb::NB_SEED;
 
     // A deliberately contended run: core 1 stores into the very line the
     // measured pointer chase keeps hot. The coherence layer is exercised

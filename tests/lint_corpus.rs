@@ -8,7 +8,7 @@
 
 use nanobench::analysis::{has_errors, plan_diagnostics, Code, Severity};
 use nanobench::inst_tools::benchmark_suite;
-use nanobench::nb::{BenchSpec, NanoBench, NbError, Session};
+use nanobench::nb::{BenchSpec, LintGate, NbError, Session};
 use nanobench::uarch::port::MicroArch;
 use nanobench::x86::corpus::ROUNDTRIP_CORPUS;
 
@@ -192,12 +192,11 @@ fn corunner_false_sharing_is_pinned() {
 /// `NbError::Lint` carrying only the error-severity diagnostics.
 #[test]
 fn the_deny_gate_rejects_and_reports_structured_errors() {
-    let mut nb = NanoBench::user(MicroArch::Skylake);
-    let err = nb
-        .asm("wbinvd")
-        .expect("parses")
-        .lint(nanobench::nb::LintGate::Deny)
-        .run()
+    let mut spec = BenchSpec::new();
+    spec.asm("wbinvd").expect("parses");
+    let err = Session::user(MicroArch::Skylake)
+        .lint(LintGate::Deny)
+        .run(&spec)
         .expect_err("user-mode wbinvd must be rejected by the gate");
     match err {
         NbError::Lint(diags) => {

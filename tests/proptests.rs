@@ -171,8 +171,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Differential engine properties: the legacy `Engine::run` entry point and
-// the dispatch-table plan interpreter (`decode` + `run_plan`) must be
+// Differential engine properties: decoding a fresh plan for every run and
+// replaying one cached plan (`decode` once + `run_plan`) must be
 // bit-identical — RunStats (including faults), PMU readings, and
 // architectural state — over randomly composed programs, in kernel mode and
 // in user mode with interrupt injection, and the co-runner stepping shape
@@ -391,8 +391,8 @@ fn build_program(ops: &[usize], iters: u64) -> Vec<Instruction> {
 }
 
 proptest! {
-    /// `Engine::run` (per-run transient decode) and `Engine::run_plan`
-    /// (one cached plan replayed every round) are bit-identical over
+    /// A plan decoded fresh for every round and one cached plan replayed
+    /// every round (both through `Engine::run_plan`) are bit-identical over
     /// random programs — stats, faults, PMU, and architectural state —
     /// in kernel mode and in user mode with interrupt injection.
     #[test]
@@ -403,24 +403,25 @@ proptest! {
     ) {
         let kernel = kernel_sel == 0;
         let program = build_program(&ops, iters);
-        let mut legacy = EngSide::new(kernel, true);
+        let mut fresh = EngSide::new(kernel, true);
         let mut planned = EngSide::new(kernel, true);
         let plan = planned.engine.decode(&program);
         for round in 0..2 {
-            let a = legacy.engine.run(
-                &program, &mut legacy.state, &mut legacy.pmu, &mut legacy.bus, legacy.cycle,
+            let fresh_plan = fresh.engine.decode(&program);
+            let a = fresh.engine.run_plan(
+                &fresh_plan, &mut fresh.state, &mut fresh.pmu, &mut fresh.bus, fresh.cycle,
             );
             let b = planned.engine.run_plan(
                 &plan, &mut planned.state, &mut planned.pmu, &mut planned.bus, planned.cycle,
             );
             prop_assert_eq!(&a, &b, "round {}: RunStats/fault diverged", round);
             if let Ok(stats) = a {
-                legacy.cycle = stats.end_cycle;
+                fresh.cycle = stats.end_cycle;
                 planned.cycle = stats.end_cycle;
             }
-            prop_assert_eq!(legacy.pmu_readings(), planned.pmu_readings(),
+            prop_assert_eq!(fresh.pmu_readings(), planned.pmu_readings(),
                 "round {}: PMU diverged", round);
-            prop_assert_eq!(legacy.arch_state(), planned.arch_state(),
+            prop_assert_eq!(fresh.arch_state(), planned.arch_state(),
                 "round {}: architectural state diverged", round);
         }
     }
@@ -486,7 +487,7 @@ proptest! {
 // what it rejects must fail *structurally*. A spec the analyzer passes with
 // zero errors runs to completion through the full Algorithm-1 pipeline in
 // the analyzed mode, and its raw instruction sequence executes identically
-// under the legacy interpreter and the dispatch-table plan interpreter; a
+// from a freshly decoded plan and from a plan replayed across runs; a
 // spec the analyzer rejects turns into `NbError::Lint` through the Deny
 // gate — a structured error, never a fault escaping as a panic.
 // ---------------------------------------------------------------------------
@@ -583,11 +584,11 @@ proptest! {
         }
     }
 
-    /// Analyzer-accepted instruction sequences are interpreter-agnostic:
-    /// on a machine whose registers are set up the way the generated
-    /// prologue leaves them, the legacy interpreter and the dispatch-table
-    /// plan interpreter both complete and agree bit-for-bit, in kernel and
-    /// in user mode.
+    /// Analyzer-accepted instruction sequences complete: on a machine
+    /// whose registers are set up the way the generated prologue leaves
+    /// them, the first run completes, and a plan decoded fresh for every
+    /// run agrees bit-for-bit with one plan replayed across runs, in
+    /// kernel and in user mode.
     #[test]
     fn accepted_programs_complete_in_both_interpreters(
         ops in proptest::collection::vec(0usize..13, 1..8),
@@ -604,15 +605,17 @@ proptest! {
             return; // only accepted specs carry the completion guarantee
         }
 
-        let mut legacy = machine_with_arenas(mode);
+        let mut fresh = machine_with_arenas(mode);
         let mut planned = machine_with_arenas(mode);
         let plan = planned.decode(&spec.code);
-        let a = legacy.run(&spec.code);
-        let b = planned.run_plan(&plan);
-        prop_assert!(a.is_ok(), "legacy interpreter faulted: {:?}", a);
-        prop_assert_eq!(&a, &b, "interpreters diverged");
-        let gprs_a: Vec<u64> = Gpr::ALL.iter().map(|g| legacy.state().gpr(*g)).collect();
-        let gprs_b: Vec<u64> = Gpr::ALL.iter().map(|g| planned.state().gpr(*g)).collect();
-        prop_assert_eq!(gprs_a, gprs_b, "architectural state diverged");
+        for round in 0..2 {
+            let a = fresh.run_plan(&fresh.decode(&spec.code));
+            let b = planned.run_plan(&plan);
+            prop_assert!(round > 0 || a.is_ok(), "accepted program faulted: {:?}", a);
+            prop_assert_eq!(&a, &b, "round {}: runs diverged", round);
+            let gprs_a: Vec<u64> = Gpr::ALL.iter().map(|g| fresh.state().gpr(*g)).collect();
+            let gprs_b: Vec<u64> = Gpr::ALL.iter().map(|g| planned.state().gpr(*g)).collect();
+            prop_assert_eq!(gprs_a, gprs_b, "round {}: architectural state diverged", round);
+        }
     }
 }
