@@ -1003,6 +1003,35 @@ mod tests {
         }
     }
 
+    /// A push's store walk drains the C-Box lookups it caused while the
+    /// counting gate that saw the access is still open, like a `mov`
+    /// store: with a pause marker right behind either, both leave the same
+    /// C-Box counts.
+    #[test]
+    fn push_counts_its_uncore_lookups_like_a_store() {
+        let cbo_counts = |store: &str| {
+            let mut m = Machine::new(MicroArch::Skylake, Mode::Kernel, 7);
+            let cold = m.alloc_region(1 << 20) + 0x8000;
+            m.state_mut().set_gpr(Gpr::Rsp, cold);
+            m.state_mut().set_gpr(Gpr::R14, cold);
+            let program = parse_asm(&format!("{store}; nb_pause; mov ecx, 0x706; rdmsr")).unwrap();
+            m.run_plan(&m.decode(&program)).unwrap();
+            let slices = m.hierarchy().uncore_lookups().len() as u32;
+            let counted: u64 = (0..slices)
+                .map(|s| {
+                    m.pmu()
+                        .rdmsr(nanobench_pmu::msr::MSR_UNC_CBO_PERFCTR0 + s)
+                        .unwrap()
+                })
+                .sum();
+            (counted, m.hierarchy().uncore_total())
+        };
+        let mov = cbo_counts("mov [r14-8], rax");
+        assert_eq!(mov, (2, 2));
+        assert_eq!(cbo_counts("push rax"), mov);
+        assert_eq!(cbo_counts("push qword ptr [r14+64]"), mov);
+    }
+
     /// Two pages whose page numbers collide in the direct-mapped micro-TLB
     /// (64 entries apart) keep translating correctly while evicting each
     /// other's memoized entry.

@@ -21,11 +21,26 @@
 //! fused superblocks (see [`crate::plan`] for the fusion rules).
 //! Running a program is always [`Engine::decode`] followed by
 //! [`Engine::run_plan`].
+//!
+//! `step_generic` is the reference: it carries the full dataflow model
+//! (vector registers, AVX factor, any operand shape) in its own code, and
+//! every specialized handler must match it bit for bit on the shapes it
+//! covers. The specialized handlers share one timing core instead of
+//! copying it: input readiness, compute-µop issue and write-back
+//! (`input_ready`, `issue_uops`, `write_back`), the load step
+//! (`timed_load`: always one fused [`Bus::load_fused`] walk + read), the
+//! store walk and its accounting (`store_walk`, `account_walk`), and the
+//! branch step (`branch_entry`, used by both `step_branch` and loop-close
+//! fusion). The ALU, quadword-load and quadword-store superblock entries
+//! stay separate functions from the general memory entry: folding them
+//! into it measured ~13% slower on `profile_engine`.
 
 use crate::bpred::BranchPredictor;
 use crate::bus::{Bus, CpuFault};
 use crate::exec::{self, Next};
-use crate::plan::{handler, meta, DecodedProgram, FastCc, FastOp, FastSrc, PlanBody};
+use crate::plan::{
+    handler, meta, DecodedProgram, FastCc, FastOp, FastSrc, HotEntry, PlanBody, ResolvedUop,
+};
 use crate::port::{MicroArch, PortConfig, PortSet};
 use crate::state::CpuState;
 use nanobench_cache::hierarchy::{HitLevel, MemAccessResult, SnoopResult};
@@ -40,23 +55,10 @@ use std::marker::PhantomData;
 
 use crate::descriptor::DescriptorTable;
 
-/// Engine tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Front-end bubble after a mispredicted branch.
-    pub mispredict_penalty: u64,
-    /// Safety limit on retired instructions per run.
-    pub max_instructions: u64,
-}
-
-impl Default for EngineConfig {
-    fn default() -> EngineConfig {
-        EngineConfig {
-            mispredict_penalty: 15,
-            max_instructions: 200_000_000,
-        }
-    }
-}
+/// Front-end bubble after a mispredicted branch.
+const MISPREDICT_PENALTY: u64 = 15;
+/// Safety limit on retired instructions per run.
+const MAX_INSTRUCTIONS: u64 = 200_000_000;
 
 /// Result of one program run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -436,12 +438,12 @@ impl<B: Bus + ?Sized> Handlers<B> {
         step_wbinvd::<B>,
         step_clflush::<B>,
         step_prefetch::<B>,
-        step_cli::<B>,
-        step_sti::<B>,
+        step_interrupt_flag::<B, false>, // CLI
+        step_interrupt_flag::<B, true>,  // STI
         step_serialize::<B>,
         step_rdrand::<B>,
-        step_nb_pause::<B>,
-        step_nb_resume::<B>,
+        step_counting::<B, false>, // NB_PAUSE
+        step_counting::<B, true>,  // NB_RESUME
         step_push::<B>,
         step_pop::<B>,
     ];
@@ -456,7 +458,6 @@ pub struct Engine {
     uarch: MicroArch,
     table: DescriptorTable,
     ports: PortConfig,
-    config: EngineConfig,
     /// Branch predictor (persistent; public so tools can reset it).
     pub bpred: BranchPredictor,
     rng: SmallRng,
@@ -484,21 +485,12 @@ impl Engine {
             uarch,
             table: DescriptorTable::for_uarch(uarch),
             ports: PortConfig::for_uarch(uarch),
-            config: EngineConfig::default(),
             bpred: BranchPredictor::new(),
             rng: SmallRng::seed_from_u64(seed),
             avx_cold: true,
             non_avx_streak: 0,
             avx_penalty_uops: 0,
             uncore_buf: Vec::new(),
-        }
-    }
-
-    /// Creates an engine with custom tuning.
-    pub fn with_config(uarch: MicroArch, seed: u64, config: EngineConfig) -> Engine {
-        Engine {
-            config,
-            ..Engine::new(uarch, seed)
         }
     }
 
@@ -646,7 +638,7 @@ impl Engine {
         if ctx.pc >= insts.len() {
             return Ok(false);
         }
-        if ctx.instructions >= self.config.max_instructions {
+        if ctx.instructions >= MAX_INSTRUCTIONS {
             return Err(CpuFault::RunawayExecution);
         }
         if let Some(intr) = bus.poll_interrupt(ctx.t.now()) {
@@ -748,67 +740,6 @@ impl Engine {
         }
     }
 
-    /// `is_write` marks the load half of an RMW access: the cache walk
-    /// runs write coherence (RFO) and the RFO is counted here, since the
-    /// covered store never touches the bus.
-    #[allow(clippy::too_many_arguments)] // timing + batch + bus is the full hot-path context
-    fn timed_load<B: Bus + ?Sized>(
-        &mut self,
-        t: &mut Timing,
-        vaddr: u64,
-        addr_ready: u64,
-        is_write: bool,
-        batch: &mut PmuBatch,
-        pmu: &mut Pmu,
-        bus: &mut B,
-    ) -> Result<u64, CpuFault> {
-        let res = bus.access(vaddr, is_write)?;
-        if is_write {
-            batch.count_store_coherence(&res);
-        }
-        if res.slice.is_some() {
-            // Only accesses that reached the L3 generate uncore lookups;
-            // private-cache hits leave the C-Box counters untouched, and
-            // the architectural read points (RDPMC/RDMSR) drain anyway.
-            self.drain_uncore(pmu, bus);
-        }
-        batch.record_load(&res);
-        let dispatch = t.dispatch(self.ports.load, addr_ready, 1, batch);
-        let done = dispatch + res.latency;
-        t.complete(done);
-        Ok(done)
-    }
-
-    /// [`Engine::timed_load`] fused with the semantic quadword read of the
-    /// same address: one translation and one hierarchy walk per load on
-    /// buses that override [`Bus::load_fused`]. Returns the completion
-    /// cycle and the loaded value.
-    #[allow(clippy::too_many_arguments)] // timing + batch + bus is the full hot-path context
-    #[inline]
-    fn timed_load_fused<B: Bus + ?Sized>(
-        &mut self,
-        t: &mut Timing,
-        vaddr: u64,
-        addr_ready: u64,
-        is_write: bool,
-        batch: &mut PmuBatch,
-        pmu: &mut Pmu,
-        bus: &mut B,
-    ) -> Result<(u64, u64), CpuFault> {
-        let (res, value) = bus.load_fused(vaddr, 8, is_write)?;
-        if is_write {
-            batch.count_store_coherence(&res);
-        }
-        if res.slice.is_some() {
-            self.drain_uncore(pmu, bus);
-        }
-        batch.record_load(&res);
-        let dispatch = t.dispatch(self.ports.load, addr_ready, 1, batch);
-        let done = dispatch + res.latency;
-        t.complete(done);
-        Ok((done, value))
-    }
-
     fn drain_uncore<B: Bus + ?Sized>(&mut self, pmu: &mut Pmu, bus: &mut B) {
         self.uncore_buf.clear();
         bus.drain_uncore_lookups(&mut self.uncore_buf);
@@ -838,6 +769,129 @@ fn addr_ready(t: &Timing, mem: &MemRef) -> u64 {
         ready = ready.max(t.reg[i.number() as usize]);
     }
     ready
+}
+
+// ---- shared timing core ---------------------------------------------------
+//
+// The steps every specialized handler takes, in one place each. The memory
+// and walk-accounting steps serve `step_generic` too; its dataflow
+// (readiness, µop issue, write-back) stays its own, as the reference.
+
+/// Input readiness of a fast-path entry: the dispatch barrier, its GPR
+/// inputs, and the flags if it reads them (fast entries have no vector
+/// inputs).
+#[inline]
+fn input_ready(t: &Timing, hot: &HotEntry, body: &PlanBody) -> u64 {
+    let mut ready = t.barrier;
+    for &r in hot.in_regs.slice(&body.regs) {
+        ready = ready.max(t.reg[r as usize]);
+    }
+    if hot.has(meta::FLAGS_READ) {
+        ready = ready.max(t.flags);
+    }
+    ready
+}
+
+/// Dispatches a fast-path entry's compute µops at `compute_ready` (which
+/// includes `load_done`) and returns when its result is ready: the first
+/// µop's completion, or, without µops, the load completion if a load ran
+/// (`load_done > 0`) and `compute_ready` otherwise.
+#[inline]
+fn issue_uops(
+    t: &mut Timing,
+    uops: &[ResolvedUop],
+    compute_ready: u64,
+    load_done: u64,
+    batch: &mut PmuBatch,
+) -> u64 {
+    let mut result_ready = if load_done > 0 {
+        load_done
+    } else {
+        compute_ready
+    };
+    for (i, u) in uops.iter().enumerate() {
+        let done = t.dispatch(u.ports, compute_ready, u.recip, batch) + u.latency;
+        t.complete(done);
+        if i == 0 {
+            result_ready = done;
+        }
+    }
+    result_ready
+}
+
+/// Write-back of a fast-path entry: its GPR and flag outputs become ready
+/// at `ready`.
+#[inline]
+fn write_back(t: &mut Timing, hot: &HotEntry, body: &PlanBody, ready: u64) {
+    for &r in hot.out_regs.slice(&body.regs) {
+        t.reg[r as usize] = ready;
+    }
+    if hot.has(meta::FLAGS_WRITTEN) {
+        t.flags = ready;
+    }
+}
+
+/// The load step: one fused hierarchy walk + quadword read
+/// ([`Bus::load_fused`]), its cache-level and walk accounting, and the
+/// load-port µop. Returns the completion cycle and the loaded value;
+/// callers that execute the instruction through [`exec::execute`] discard
+/// the value (the fused op costs the same one translation and one walk as
+/// a bare [`Bus::access`]). `is_write` marks the covering load of a
+/// read-modify-write: its walk runs write coherence (RFO) and carries the
+/// store's accounting, since the covered store never touches the bus.
+#[inline]
+fn timed_load<B: Bus + ?Sized>(
+    eng: &mut Engine,
+    a: &mut StepArgs<'_, B>,
+    vaddr: u64,
+    addr_ready: u64,
+    is_write: bool,
+) -> Result<(u64, u64), CpuFault> {
+    let (res, value) = a.bus.load_fused(vaddr, 8, is_write)?;
+    account_walk(eng, a, &res, is_write);
+    a.batch.record_load(&res);
+    let done = a.t.dispatch(eng.ports.load, addr_ready, 1, a.batch) + res.latency;
+    a.t.complete(done);
+    Ok((done, value))
+}
+
+/// The walk of a store no load covered: fused with the quadword write of
+/// `value` when the handler has the data, timing-only when the semantic
+/// execution writes it afterwards; then the store's accounting.
+// Forced: left to the optimizer this and `branch_entry` became calls
+// inside `step_block`, and `profile_engine` measured about 4% slower.
+#[inline(always)]
+fn store_walk<B: Bus + ?Sized>(
+    eng: &mut Engine,
+    a: &mut StepArgs<'_, B>,
+    vaddr: u64,
+    value: Option<u64>,
+) -> Result<(), CpuFault> {
+    let res = match value {
+        Some(v) => a.bus.store_fused(vaddr, 8, v)?,
+        None => a.bus.access(vaddr, true)?,
+    };
+    account_walk(eng, a, &res, true);
+    Ok(())
+}
+
+/// Accounting every demand walk shares: a write walk counts its coherence
+/// traffic, and a walk that reached the L3 drains its C-Box lookups into
+/// the uncore counters now, while the counting gate that saw the access is
+/// still the one in force. Private-cache hits generate no lookups.
+#[inline]
+fn account_walk<B: Bus + ?Sized>(
+    eng: &mut Engine,
+    a: &mut StepArgs<'_, B>,
+    res: &MemAccessResult,
+    is_write: bool,
+) {
+    if is_write {
+        a.batch.count_store_coherence(res);
+    }
+    if res.slice.is_some() {
+        eng.drain_uncore(a.pmu, a.bus);
+    }
 }
 
 // ---- step handlers --------------------------------------------------------
@@ -881,7 +935,7 @@ fn step_generic<B: Bus + ?Sized>(
         let a_ready = addr_ready(a.t, mem);
         let vaddr = exec::mem_vaddr(a.state, mem);
         let rmw = writes.iter().any(|w| w.covered_by_read && w.mem == *mem);
-        let done = eng.timed_load(a.t, vaddr, a_ready, rmw, a.batch, a.pmu, a.bus)?;
+        let (done, _) = timed_load(eng, a, vaddr, a_ready, rmw)?;
         load_done = load_done.max(done);
     }
     let compute_ready = input_ready.max(load_done);
@@ -913,12 +967,7 @@ fn step_generic<B: Bus + ?Sized>(
         a.t.dispatch(eng.ports.store_data, result_ready, 1, a.batch);
         // RMW accesses already touched the line via the load.
         if !store.covered_by_read {
-            let vaddr = exec::mem_vaddr(a.state, &store.mem);
-            let res = a.bus.access(vaddr, true)?;
-            a.batch.count_store_coherence(&res);
-            if res.slice.is_some() {
-                eng.drain_uncore(a.pmu, a.bus);
-            }
+            store_walk(eng, a, exec::mem_vaddr(a.state, &store.mem), None)?;
         }
     }
 
@@ -931,7 +980,7 @@ fn step_generic<B: Bus + ?Sized>(
         a.batch.br_retired += 1;
         if hot.has(meta::CONDITIONAL) && eng.bpred.update(a.pc, taken) {
             a.batch.br_misp += 1;
-            a.t.alloc_cycle = a.t.alloc_cycle.max(done + eng.config.mispredict_penalty);
+            a.t.alloc_cycle = a.t.alloc_cycle.max(done + MISPREDICT_PENALTY);
             a.t.alloc_slots = 0;
         }
     }
@@ -992,7 +1041,7 @@ fn step_block<B: Bus + ?Sized>(
     for i in 0..n {
         let pc = a.pc + i;
         let r = match a.body.hot[pc].handler {
-            handler::ALU_BLOCK => alu_entry(eng, a, pc),
+            handler::ALU_BLOCK => alu_entry(a, pc),
             handler::LOAD => match &a.body.fast[pc] {
                 FastOp::LoadQ { dst } => load_q_entry(eng, a, pc, *dst),
                 _ => mem_entry::<B, true, false>(eng, a, pc),
@@ -1017,106 +1066,44 @@ fn step_block<B: Bus + ?Sized>(
     }
     // Loop-close fusion: a certified conditional branch directly behind
     // the block runs in the same dispatch, so a benchmark loop iteration
-    // costs one step instead of two. The branch math below replicates
-    // `step_branch` exactly; the pre-decoded condition and target make the
-    // generic executor redundant.
-    if a.fuse {
-        let bpc = a.pc + n;
-        if let Some(&FastOp::CondJump { target, cc }) = a.body.fast.get(bpc) {
-            let body = a.body;
-            let hot = &body.hot[bpc];
-            // Checked-interpreter mode: `fast_branch_op` certified these.
-            debug_assert!(
-                hot.has(meta::IS_BRANCH)
-                    && hot.has(meta::CONDITIONAL)
-                    && hot.has(meta::RETIRES)
-                    && !hot.has(meta::PRIVILEGED)
-                    && !hot.has(meta::FLAGS_WRITTEN)
-                    && hot.out_regs.slice(&body.regs).is_empty()
-                    && hot.reads.is_empty()
-                    && hot.writes.is_empty(),
-                "CondJump entry violates the certified loop-close shape"
-            );
-            let mut input_ready = a.t.barrier;
-            for &r in hot.in_regs.slice(&body.regs) {
-                input_ready = input_ready.max(a.t.reg[r as usize]);
-            }
-            if hot.has(meta::FLAGS_READ) {
-                input_ready = input_ready.max(a.t.flags);
-            }
-            for u in hot.uops.slice(&body.uops) {
-                let dispatch = a.t.dispatch(u.ports, input_ready, u.recip, a.batch);
-                a.t.complete(dispatch + u.latency);
-            }
-            let taken = match cc {
-                FastCc::Z => a.state.flag(Flag::Zf),
-                FastCc::Nz => !a.state.flag(Flag::Zf),
-                FastCc::C => a.state.flag(Flag::Cf),
-                FastCc::Nc => !a.state.flag(Flag::Cf),
-            };
-            let dispatch = a.t.dispatch(eng.ports.branch, input_ready, 1, a.batch);
-            let done = dispatch + 1;
-            a.t.complete(done);
-            a.batch.br_retired += 1;
-            if eng.bpred.update(bpc, taken) {
-                a.batch.br_misp += 1;
-                a.t.alloc_cycle = a.t.alloc_cycle.max(done + eng.config.mispredict_penalty);
-                a.t.alloc_slots = 0;
-            }
-            eng.note_non_avx_n(n as u64 + 1);
-            let next = if taken {
-                Next::Jump(target as usize)
-            } else {
-                Next::Seq
-            };
-            return Ok(StepOutcome {
-                next,
-                consumed: n as u32 + 1,
-                retired: n as u32 + 1,
-                fault: None,
-            });
-        }
+    // costs one step instead of two.
+    let bpc = a.pc + n;
+    let mut next = Next::Seq;
+    let mut consumed = n;
+    if a.fuse && matches!(a.body.fast.get(bpc), Some(FastOp::CondJump { .. })) {
+        let body = a.body;
+        let hot = &body.hot[bpc];
+        // Checked-interpreter mode: `fast_branch_op` certified these.
+        debug_assert!(
+            hot.has(meta::IS_BRANCH)
+                && hot.has(meta::CONDITIONAL)
+                && hot.has(meta::RETIRES)
+                && !hot.has(meta::PRIVILEGED)
+                && !hot.has(meta::FLAGS_WRITTEN)
+                && hot.out_regs.slice(&body.regs).is_empty()
+                && hot.reads.is_empty()
+                && hot.writes.is_empty(),
+            "CondJump entry violates the certified loop-close shape"
+        );
+        next = branch_entry::<B, true>(eng, a, bpc).expect("a CondJump entry is pre-decoded");
+        consumed += 1;
     }
-    eng.note_non_avx_n(n as u64);
+    eng.note_non_avx_n(consumed as u64);
     Ok(StepOutcome {
-        next: Next::Seq,
-        consumed: n as u32,
-        retired: n as u32,
+        next,
+        consumed: consumed as u32,
+        retired: consumed as u32,
         fault: None,
     })
 }
 
 /// One register-only ALU entry inside a superblock.
-fn alu_entry<B: Bus + ?Sized>(
-    _eng: &mut Engine,
-    a: &mut StepArgs<'_, B>,
-    pc: usize,
-) -> Result<(), CpuFault> {
+fn alu_entry<B: Bus + ?Sized>(a: &mut StepArgs<'_, B>, pc: usize) -> Result<(), CpuFault> {
     let body = a.body;
     let hot = &body.hot[pc];
-    let mut input_ready = a.t.barrier;
-    for &r in hot.in_regs.slice(&body.regs) {
-        input_ready = input_ready.max(a.t.reg[r as usize]);
-    }
-    if hot.has(meta::FLAGS_READ) {
-        input_ready = input_ready.max(a.t.flags);
-    }
-    let uops = hot.uops.slice(&body.uops);
-    let mut result_ready = input_ready;
-    for (j, u) in uops.iter().enumerate() {
-        let dispatch = a.t.dispatch(u.ports, input_ready, u.recip, a.batch);
-        let done = dispatch + u.latency;
-        a.t.complete(done);
-        if j == 0 {
-            result_ready = done;
-        }
-    }
-    for &r in hot.out_regs.slice(&body.regs) {
-        a.t.reg[r as usize] = result_ready;
-    }
-    if hot.has(meta::FLAGS_WRITTEN) {
-        a.t.flags = result_ready;
-    }
+    let ready = input_ready(a.t, hot, body);
+    let result_ready = issue_uops(a.t, hot.uops.slice(&body.uops), ready, 0, a.batch);
+    write_back(a.t, hot, body, result_ready);
     let fast = &body.fast[pc];
     if matches!(fast, FastOp::None) {
         exec::execute(&a.insts[pc], a.state, a.bus)?;
@@ -1140,22 +1127,7 @@ fn mem_entry<B: Bus + ?Sized, const READS: bool, const WRITES: bool>(
 ) -> Result<(), CpuFault> {
     let body = a.body;
     let hot = &body.hot[pc];
-
-    let mut input_ready = a.t.barrier;
-    for &r in hot.in_regs.slice(&body.regs) {
-        input_ready = input_ready.max(a.t.reg[r as usize]);
-    }
-    if hot.has(meta::FLAGS_READ) {
-        input_ready = input_ready.max(a.t.flags);
-    }
-
-    // Pre-decoded shapes fuse timing and data into one bus operation, so
-    // a translating environment resolves each memory µop's address once.
-    let fast = body.fast[pc];
-    let fast_load = matches!(
-        fast,
-        FastOp::LoadQ { .. } | FastOp::LoadAlu { .. } | FastOp::RmwAlu { .. }
-    );
+    let input_ready = input_ready(a.t, hot, body);
 
     let mut load_done = 0u64;
     let mut loaded = 0u64;
@@ -1164,37 +1136,13 @@ fn mem_entry<B: Bus + ?Sized, const READS: bool, const WRITES: bool>(
             let a_ready = addr_ready(a.t, mem);
             let vaddr = exec::mem_vaddr(a.state, mem);
             // In the RMW shape the (single) write is covered by this read.
-            let done = if fast_load {
-                let (done, value) =
-                    eng.timed_load_fused(a.t, vaddr, a_ready, WRITES, a.batch, a.pmu, a.bus)?;
-                loaded = value;
-                done
-            } else {
-                eng.timed_load(a.t, vaddr, a_ready, WRITES, a.batch, a.pmu, a.bus)?
-            };
+            let (done, value) = timed_load(eng, a, vaddr, a_ready, WRITES)?;
+            loaded = value;
             load_done = load_done.max(done);
         }
     }
-    let compute_ready = input_ready.max(load_done);
-
     let uops = hot.uops.slice(&body.uops);
-    let mut result_ready = if uops.is_empty() {
-        if load_done > 0 {
-            load_done
-        } else {
-            compute_ready
-        }
-    } else {
-        compute_ready
-    };
-    for (i, u) in uops.iter().enumerate() {
-        let dispatch = a.t.dispatch(u.ports, compute_ready, u.recip, a.batch);
-        let done = dispatch + u.latency;
-        a.t.complete(done);
-        if i == 0 {
-            result_ready = done.max(load_done);
-        }
-    }
+    let result_ready = issue_uops(a.t, uops, input_ready.max(load_done), load_done, a.batch);
 
     if WRITES {
         for store in hot.writes.slice(&body.writes) {
@@ -1202,45 +1150,27 @@ fn mem_entry<B: Bus + ?Sized, const READS: bool, const WRITES: bool>(
             a.t.dispatch(eng.ports.store_addr, a_ready, 1, a.batch);
             a.t.dispatch(eng.ports.store_data, result_ready, 1, a.batch);
             if !store.covered_by_read {
-                let vaddr = exec::mem_vaddr(a.state, &store.mem);
-                let res = if let FastOp::StoreQ { src, .. } = fast {
-                    a.bus
-                        .store_fused(vaddr, 8, exec::fast_src_val(a.state, src))?
-                } else {
-                    a.bus.access(vaddr, true)?
-                };
-                a.batch.count_store_coherence(&res);
-                if res.slice.is_some() {
-                    eng.drain_uncore(a.pmu, a.bus);
-                }
+                store_walk(eng, a, exec::mem_vaddr(a.state, &store.mem), None)?;
             }
         }
     }
+    write_back(a.t, hot, body, result_ready);
 
-    for &r in hot.out_regs.slice(&body.regs) {
-        a.t.reg[r as usize] = result_ready;
-    }
-    if hot.has(meta::FLAGS_WRITTEN) {
-        a.t.flags = result_ready;
-    }
-
-    // Semantic completion. The data side of every pre-decoded shape went
-    // through the fused bus operations above; only the register/flag
-    // effects (and the RMW write-back) remain. Must stay bit-identical to
-    // [`exec::execute`] on the same instruction (pinned by
-    // `plan_equivalence` and the differential suites).
-    match fast {
+    // Semantic completion. The loaded data of every pre-decoded shape came
+    // from the fused load above; only the register/flag effects (and the
+    // RMW write-back) remain. Must stay bit-identical to [`exec::execute`]
+    // on the same instruction (pinned by `plan_equivalence` and the
+    // fast-vs-generic differential test).
+    match body.fast[pc] {
         FastOp::None => {
             let next = exec::execute(&a.insts[pc], a.state, a.bus)?;
             debug_assert!(matches!(next, Next::Seq), "mem shapes never branch");
         }
-        FastOp::LoadQ { dst, .. } => a.state.set_gpr(dst, loaded),
         FastOp::LoadAlu { op, dst, .. } => {
             let acc = a.state.gpr(dst);
             let r = exec::fast_mem_alu(a.state, op, acc, loaded);
             a.state.set_gpr(dst, r);
         }
-        FastOp::StoreQ { .. } => {} // written via the fused store above
         FastOp::RmwAlu { op, mem, src } => {
             let b = exec::fast_src_val(a.state, src);
             let r = exec::fast_mem_alu(a.state, op, loaded, b);
@@ -1248,7 +1178,8 @@ fn mem_entry<B: Bus + ?Sized, const READS: bool, const WRITES: bool>(
             // recomputes the exact vaddr the covering load walked.
             a.bus.write(exec::mem_vaddr(a.state, &mem), 8, r)?;
         }
-        _ => unreachable!("mem entries carry memory-shape fast ops or None"),
+        // `LoadQ` / `StoreQ` step in `load_q_entry` / `store_q_entry`.
+        _ => unreachable!("mem entries carry LoadAlu, RmwAlu or None"),
     }
     debug_assert!(hot.has(meta::RETIRES), "mem shapes always retire");
     Ok(())
@@ -1283,20 +1214,13 @@ fn load_q_entry<B: Bus + ?Sized>(
     let mem = &reads[0];
     let a_ready = addr_ready(a.t, mem);
     let vaddr = exec::mem_vaddr(a.state, mem);
-    let (done, value) = eng.timed_load_fused(a.t, vaddr, a_ready, false, a.batch, a.pmu, a.bus)?;
+    let (done, value) = timed_load(eng, a, vaddr, a_ready, false)?;
     let result_ready = if done > 0 {
         done
     } else {
         // Zero-latency corner (configurable latencies can be 0 at cycle
         // 0): the generic entry falls back to input readiness.
-        let mut input_ready = a.t.barrier;
-        for &r in hot.in_regs.slice(&body.regs) {
-            input_ready = input_ready.max(a.t.reg[r as usize]);
-        }
-        if hot.has(meta::FLAGS_READ) {
-            input_ready = input_ready.max(a.t.flags);
-        }
-        input_ready
+        input_ready(a.t, hot, body)
     };
     a.t.reg[dst.number() as usize] = result_ready;
     a.state.set_gpr(dst, value);
@@ -1328,25 +1252,13 @@ fn store_q_entry<B: Bus + ?Sized>(
             && !hot.has(meta::FLAGS_WRITTEN),
         "StoreQ entry violates the certified fast-store shape"
     );
-    let mut input_ready = a.t.barrier;
-    for &r in hot.in_regs.slice(&body.regs) {
-        input_ready = input_ready.max(a.t.reg[r as usize]);
-    }
-    if hot.has(meta::FLAGS_READ) {
-        input_ready = input_ready.max(a.t.flags);
-    }
+    let data_ready = input_ready(a.t, hot, body);
     let store = &writes[0];
     let a_ready = addr_ready(a.t, &store.mem);
     a.t.dispatch(eng.ports.store_addr, a_ready, 1, a.batch);
-    a.t.dispatch(eng.ports.store_data, input_ready, 1, a.batch);
+    a.t.dispatch(eng.ports.store_data, data_ready, 1, a.batch);
     let vaddr = exec::mem_vaddr(a.state, &store.mem);
-    let res = a
-        .bus
-        .store_fused(vaddr, 8, exec::fast_src_val(a.state, src))?;
-    a.batch.count_store_coherence(&res);
-    if res.slice.is_some() {
-        eng.drain_uncore(a.pmu, a.bus);
-    }
+    store_walk(eng, a, vaddr, Some(exec::fast_src_val(a.state, src)))?;
     debug_assert!(hot.has(meta::RETIRES), "mem shapes always retire");
     Ok(())
 }
@@ -1357,50 +1269,57 @@ fn step_branch<B: Bus + ?Sized, const COND: bool>(
     eng: &mut Engine,
     a: &mut StepArgs<'_, B>,
 ) -> Result<StepOutcome, CpuFault> {
-    let body = a.body;
-    let hot = &body.hot[a.pc];
-    let inst = &a.insts[a.pc];
     eng.note_non_avx();
+    let next = match branch_entry::<B, COND>(eng, a, a.pc) {
+        Some(next) => next,
+        None => exec::execute(&a.insts[a.pc], a.state, a.bus)?,
+    };
+    Ok(StepOutcome::one(next, a.body.hot[a.pc].has(meta::RETIRES)))
+}
 
-    let mut input_ready = a.t.barrier;
-    for &r in hot.in_regs.slice(&body.regs) {
-        input_ready = input_ready.max(a.t.reg[r as usize]);
-    }
-    if hot.has(meta::FLAGS_READ) {
-        input_ready = input_ready.max(a.t.flags);
-    }
-
-    let uops = hot.uops.slice(&body.uops);
-    let mut result_ready = input_ready;
-    for (i, u) in uops.iter().enumerate() {
-        let dispatch = a.t.dispatch(u.ports, input_ready, u.recip, a.batch);
-        let done = dispatch + u.latency;
-        a.t.complete(done);
-        if i == 0 {
-            result_ready = done;
+/// The timing of one register-only branch entry, shared by
+/// [`step_branch`] and loop-close fusion in [`step_block`]: compute µops,
+/// the branch-port µop, the predictor update (`COND`), and write-back.
+/// A pre-decoded [`FastOp::CondJump`] supplies the condition and target,
+/// so the branch's control flow is returned; otherwise the result is
+/// `None` and the caller executes the instruction semantically.
+#[inline(always)]
+fn branch_entry<B: Bus + ?Sized, const COND: bool>(
+    eng: &mut Engine,
+    a: &mut StepArgs<'_, B>,
+    pc: usize,
+) -> Option<Next> {
+    let body = a.body;
+    let hot = &body.hot[pc];
+    let ready = input_ready(a.t, hot, body);
+    let result_ready = issue_uops(a.t, hot.uops.slice(&body.uops), ready, 0, a.batch);
+    let (taken, next) = match body.fast[pc] {
+        FastOp::CondJump { target, cc } => {
+            let taken = match cc {
+                FastCc::Z => a.state.flag(Flag::Zf),
+                FastCc::Nz => !a.state.flag(Flag::Zf),
+                FastCc::C => a.state.flag(Flag::Cf),
+                FastCc::Nc => !a.state.flag(Flag::Cf),
+            };
+            let next = if taken {
+                Next::Jump(target as usize)
+            } else {
+                Next::Seq
+            };
+            (taken, Some(next))
         }
-    }
-
-    let taken = exec::branch_taken(inst, a.state);
-    let dispatch = a.t.dispatch(eng.ports.branch, input_ready, 1, a.batch);
-    let done = dispatch + 1;
+        _ => (exec::branch_taken(&a.insts[pc], a.state), None),
+    };
+    let done = a.t.dispatch(eng.ports.branch, ready, 1, a.batch) + 1;
     a.t.complete(done);
     a.batch.br_retired += 1;
-    if COND && eng.bpred.update(a.pc, taken) {
+    if COND && eng.bpred.update(pc, taken) {
         a.batch.br_misp += 1;
-        a.t.alloc_cycle = a.t.alloc_cycle.max(done + eng.config.mispredict_penalty);
+        a.t.alloc_cycle = a.t.alloc_cycle.max(done + MISPREDICT_PENALTY);
         a.t.alloc_slots = 0;
     }
-
-    for &r in hot.out_regs.slice(&body.regs) {
-        a.t.reg[r as usize] = result_ready;
-    }
-    if hot.has(meta::FLAGS_WRITTEN) {
-        a.t.flags = result_ready;
-    }
-
-    let next = exec::execute(inst, a.state, a.bus)?;
-    Ok(StepOutcome::one(next, hot.has(meta::RETIRES)))
+    write_back(a.t, hot, body, result_ready);
+    next
 }
 
 // ---- special-mnemonic handlers (the former `step_special` match arms) ----
@@ -1607,21 +1526,12 @@ fn step_prefetch<B: Bus + ?Sized>(
     Ok(StepOutcome::one(Next::Seq, true))
 }
 
-fn step_cli<B: Bus + ?Sized>(
+/// CLI (`ENABLE = false`) and STI (`ENABLE = true`).
+fn step_interrupt_flag<B: Bus + ?Sized, const ENABLE: bool>(
     eng: &mut Engine,
     a: &mut StepArgs<'_, B>,
 ) -> Result<StepOutcome, CpuFault> {
-    a.bus.set_interrupt_flag(false);
-    let ready = start_of(a.t);
-    a.t.dispatch(eng.ports.alu, ready, 1, a.batch);
-    Ok(StepOutcome::one(Next::Seq, true))
-}
-
-fn step_sti<B: Bus + ?Sized>(
-    eng: &mut Engine,
-    a: &mut StepArgs<'_, B>,
-) -> Result<StepOutcome, CpuFault> {
-    a.bus.set_interrupt_flag(true);
+    a.bus.set_interrupt_flag(ENABLE);
     let ready = start_of(a.t);
     a.t.dispatch(eng.ports.alu, ready, 1, a.batch);
     Ok(StepOutcome::one(Next::Seq, true))
@@ -1658,28 +1568,18 @@ fn step_rdrand<B: Bus + ?Sized>(
     Ok(StepOutcome::one(Next::Seq, true))
 }
 
-fn step_nb_pause<B: Bus + ?Sized>(
+/// The magic pause (`COUNTING = false`) and resume (`COUNTING = true`)
+/// markers (§III-I): zero architectural cost beyond the sync point. The
+/// batch accumulated under the old gate lands before the gate flips, so
+/// counts accumulated while paused are dropped by the closed gate at flush
+/// time — exactly as per-µop delivery would have dropped them.
+fn step_counting<B: Bus + ?Sized, const COUNTING: bool>(
     _eng: &mut Engine,
     a: &mut StepArgs<'_, B>,
 ) -> Result<StepOutcome, CpuFault> {
-    // Magic marker: pause counting (§III-I). Zero architectural cost
-    // beyond the sync point. The batch accumulated while counting was on
-    // must land before the gate closes.
     a.batch.flush(a.pmu);
     a.pmu.sync_cycles(a.t.now());
-    a.pmu.set_counting(false);
-    Ok(StepOutcome::one(Next::Seq, false))
-}
-
-fn step_nb_resume<B: Bus + ?Sized>(
-    _eng: &mut Engine,
-    a: &mut StepArgs<'_, B>,
-) -> Result<StepOutcome, CpuFault> {
-    // Counts accumulated while paused are dropped by the closed gate at
-    // flush time — exactly as per-µop delivery would have dropped them.
-    a.batch.flush(a.pmu);
-    a.pmu.sync_cycles(a.t.now());
-    a.pmu.set_counting(true);
+    a.pmu.set_counting(COUNTING);
     Ok(StepOutcome::one(Next::Seq, false))
 }
 
@@ -1687,7 +1587,8 @@ fn step_push<B: Bus + ?Sized>(
     eng: &mut Engine,
     a: &mut StepArgs<'_, B>,
 ) -> Result<StepOutcome, CpuFault> {
-    let inst = &a.insts[a.pc];
+    let insts = a.insts;
+    let inst = &insts[a.pc];
     let data_ready = match inst.dst() {
         Some(Operand::Gpr(g)) => a.t.reg[g.reg.number() as usize],
         _ => start_of(a.t),
@@ -1699,53 +1600,46 @@ fn step_push<B: Bus + ?Sized>(
     a.t.dispatch(eng.ports.store_data, data_ready, 1, a.batch);
     a.t.complete(rsp_done);
     let vaddr = a.state.gpr(Gpr::Rsp).wrapping_sub(8);
-    // Register and immediate sources never touch the bus, so their pushes
-    // fuse timing and data into one store operation (one translation);
-    // memory-source pushes keep the generic access + execute path.
-    let fused_value = match inst.dst() {
+    // Register and immediate sources are written by the store walk itself
+    // (one translation); a memory source is read and stored by the
+    // semantic execution after a timing-only walk.
+    let value = match inst.dst() {
         Some(Operand::Gpr(g)) => Some(a.state.gpr_part(*g)),
         Some(Operand::Imm(v)) => Some(*v as u64),
         _ => None,
     };
-    if let Some(value) = fused_value {
-        let res = a.bus.store_fused(vaddr, 8, value)?;
-        a.batch.count_store_coherence(&res);
+    store_walk(eng, a, vaddr, value)?;
+    let next = if value.is_some() {
         a.state.set_gpr(Gpr::Rsp, vaddr);
-        Ok(StepOutcome::one(Next::Seq, true))
+        Next::Seq
     } else {
-        let res = a.bus.access(vaddr, true)?;
-        a.batch.count_store_coherence(&res);
-        let next = exec::execute(inst, a.state, a.bus)?;
-        Ok(StepOutcome::one(next, true))
-    }
+        exec::execute(inst, a.state, a.bus)?
+    };
+    Ok(StepOutcome::one(next, true))
 }
 
 fn step_pop<B: Bus + ?Sized>(
     eng: &mut Engine,
     a: &mut StepArgs<'_, B>,
 ) -> Result<StepOutcome, CpuFault> {
-    let inst = &a.insts[a.pc];
+    let insts = a.insts;
+    let inst = &insts[a.pc];
     let rsp_ready = a.t.reg[Gpr::Rsp.number() as usize];
     let vaddr = a.state.gpr(Gpr::Rsp);
-    // Register destinations fuse the timing walk with the data read (one
-    // translation); memory destinations keep the generic path.
-    if let Some(Operand::Gpr(g)) = inst.dst() {
-        let (load_done, value) =
-            eng.timed_load_fused(a.t, vaddr, rsp_ready, false, a.batch, a.pmu, a.bus)?;
-        let rsp_done = a.t.dispatch(eng.ports.alu, rsp_ready, 1, a.batch) + 1;
-        a.t.reg[Gpr::Rsp.number() as usize] = rsp_done;
+    let (load_done, value) = timed_load(eng, a, vaddr, rsp_ready, false)?;
+    let rsp_done = a.t.dispatch(eng.ports.alu, rsp_ready, 1, a.batch) + 1;
+    a.t.reg[Gpr::Rsp.number() as usize] = rsp_done;
+    a.t.complete(load_done);
+    // A register destination takes the fused load's value; a memory
+    // destination is written by the semantic execution.
+    let next = if let Some(Operand::Gpr(g)) = inst.dst() {
         a.t.reg[g.reg.number() as usize] = load_done;
-        a.t.complete(load_done);
         // RSP before the destination, so `pop rsp` keeps the loaded value.
         a.state.set_gpr(Gpr::Rsp, vaddr.wrapping_add(8));
         a.state.set_gpr_part(*g, value);
-        Ok(StepOutcome::one(Next::Seq, true))
+        Next::Seq
     } else {
-        let load_done = eng.timed_load(a.t, vaddr, rsp_ready, false, a.batch, a.pmu, a.bus)?;
-        let rsp_done = a.t.dispatch(eng.ports.alu, rsp_ready, 1, a.batch) + 1;
-        a.t.reg[Gpr::Rsp.number() as usize] = rsp_done;
-        a.t.complete(load_done);
-        let next = exec::execute(inst, a.state, a.bus)?;
-        Ok(StepOutcome::one(next, true))
-    }
+        exec::execute(inst, a.state, a.bus)?
+    };
+    Ok(StepOutcome::one(next, true))
 }

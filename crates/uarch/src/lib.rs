@@ -19,6 +19,8 @@
 pub mod bpred;
 pub mod bus;
 pub mod descriptor;
+#[cfg(test)]
+mod differential;
 pub mod engine;
 pub mod exec;
 pub mod plan;
@@ -28,7 +30,7 @@ pub mod state;
 pub use bpred::BranchPredictor;
 pub use bus::{Bus, CpuFault, InterruptEvent};
 pub use descriptor::{DescriptorTable, InstrDesc, PortClass, UopSpec};
-pub use engine::{Engine, EngineConfig, RunContext, RunStats};
+pub use engine::{Engine, RunContext, RunStats};
 pub use plan::{verify_plan, DecodedProgram, PlanRule, PlanViolation};
 pub use port::{MicroArch, PortConfig, PortSet};
 pub use state::CpuState;

@@ -477,49 +477,12 @@ pub(crate) struct PlanBody {
     pub writes: Vec<PlannedStore>,
 }
 
-/// Whether the engine handles the mnemonic in a special-cased handler
-/// rather than the generic dataflow path.
-fn is_special(m: Mnemonic) -> bool {
+/// Dispatch-table index of the special-cased handler for a mnemonic, or
+/// `None` for the mnemonics the generic dataflow path (or one of its
+/// specialized shapes) steps.
+fn special_handler(m: Mnemonic) -> Option<u8> {
     use Mnemonic::*;
-    matches!(
-        m,
-        Nop | Lfence
-            | Mfence
-            | Sfence
-            | Cpuid
-            | Rdtsc
-            | Rdtscp
-            | Rdpmc
-            | Rdmsr
-            | Wrmsr
-            | Wbinvd
-            | Invd
-            | Clflush
-            | Clflushopt
-            | Prefetcht0
-            | Prefetcht1
-            | Prefetcht2
-            | Prefetchnta
-            | Cli
-            | Sti
-            | Hlt
-            | Swapgs
-            | MovCr3
-            | Invlpg
-            | Rdrand
-            | Rdseed
-            | NbPause
-            | NbResume
-            | Push
-            | Pop
-    )
-}
-
-/// Dispatch-table index for a special mnemonic. Must cover exactly the
-/// mnemonics [`is_special`] accepts.
-fn special_handler(m: Mnemonic) -> u8 {
-    use Mnemonic::*;
-    match m {
+    Some(match m {
         Nop => handler::NOP,
         Lfence => handler::LFENCE,
         Mfence | Sfence => handler::FENCE,
@@ -539,30 +502,8 @@ fn special_handler(m: Mnemonic) -> u8 {
         NbResume => handler::NB_RESUME,
         Push => handler::PUSH,
         Pop => handler::POP,
-        other => unreachable!("mnemonic {other} is not an engine special"),
-    }
-}
-
-// Flag and memory read/write classification lives in
-// [`nanobench_x86::defuse`] (shared with the semantic interpreter and the
-// static analyzer); the plan only needs the boolean projections.
-
-fn flags_read(m: Mnemonic) -> bool {
-    !defuse::flags_read(m).is_empty()
-}
-
-fn flags_written(m: Mnemonic) -> bool {
-    !defuse::flags_written(m).is_empty()
-}
-
-/// Memory operands an instruction reads.
-fn mem_reads(inst: &Instruction, out: &mut Vec<MemRef>) {
-    defuse::mem_reads(inst, out);
-}
-
-/// Memory operands an instruction writes.
-fn mem_writes(inst: &Instruction) -> Option<MemRef> {
-    defuse::mem_writes(inst)
+        _ => return None,
+    })
 }
 
 impl PlanBody {
@@ -582,12 +523,14 @@ impl PlanBody {
         let mut reads_buf: Vec<MemRef> = Vec::new();
         for inst in program {
             let m = inst.mnemonic;
-            let special = is_special(m);
             let mut mbits = 0u8;
-            if flags_read(m) {
+            // Flag and memory read/write classification lives in
+            // `defuse`, shared with the semantic interpreter and the
+            // static analyzer.
+            if !defuse::flags_read(m).is_empty() {
                 mbits |= meta::FLAGS_READ;
             }
-            if flags_written(m) {
+            if !defuse::flags_written(m).is_empty() {
                 mbits |= meta::FLAGS_WRITTEN;
             }
             if matches!(
@@ -624,8 +567,8 @@ impl PlanBody {
                 out_vreg: None,
             };
 
-            if special {
-                hot.handler = special_handler(m);
+            if let Some(special) = special_handler(m) {
+                hot.handler = special;
                 // RDRAND/RDSEED are the only specials whose handler
                 // consults the descriptor table; resolve theirs here too.
                 if matches!(m, Mnemonic::Rdrand | Mnemonic::Rdseed) {
@@ -691,10 +634,10 @@ impl PlanBody {
             }
 
             // Memory operands.
-            mem_reads(inst, &mut reads_buf);
+            defuse::mem_reads(inst, &mut reads_buf);
             hot.reads = Span::push(&mut body.reads, reads_buf.iter().copied());
             let mut covered = false;
-            if let Some(mem) = mem_writes(inst) {
+            if let Some(mem) = defuse::mem_writes(inst) {
                 covered = reads_buf.contains(&mem);
                 hot.writes = Span::push(
                     &mut body.writes,
@@ -828,6 +771,22 @@ impl DecodedProgram {
 
     pub(crate) fn body(&self) -> &PlanBody {
         &self.body
+    }
+
+    /// The reference form of this plan: every entry without a special
+    /// handler steps through the generic dataflow handler, unfused and
+    /// without pre-decoded semantics.
+    #[cfg(test)]
+    pub(crate) fn generic_reference(&self) -> DecodedProgram {
+        let mut plan = self.clone();
+        for (hot, fast) in plan.body.hot.iter_mut().zip(&mut plan.body.fast) {
+            if !handler::is_special(hot.handler) {
+                hot.handler = handler::GENERIC;
+                hot.fuse_len = 1;
+                *fast = FastOp::None;
+            }
+        }
+        plan
     }
 }
 
