@@ -16,7 +16,7 @@
 
 use crate::cacheseq::{AccessSeq, CacheSeq, SeqItem};
 use nanobench_cache::policy::{
-    fifo_spec, lru_spec, plru_spec, simulate_sequence, Perm, PermutationSpec, PolicyKind,
+    fifo_spec, lru_spec, plru_spec, simulate_sequence, Perm, PermutationSpec, PolicyKind, SetSim,
 };
 use nanobench_core::NbError;
 
@@ -229,95 +229,56 @@ fn spec_matches(
 /// Simulates the spec to derive position-based hit and miss permutations
 /// from the canonical (post-fill) state.
 fn derive_position_perms(spec: &PermutationSpec, assoc: usize) -> (Vec<Perm>, Perm) {
-    use nanobench_cache::policy::{PermutationPolicy, SetPolicy};
-
-    // Track block positions through a simulated fill.
-    let fill_state = || {
-        let mut policy = PermutationPolicy::new(spec.clone());
-        let mut tags: Vec<Option<u64>> = vec![None; assoc];
-        for b in 0..assoc as u64 {
-            let occupied: Vec<bool> = tags.iter().map(Option::is_some).collect();
-            let way = policy.on_miss(&occupied);
-            tags[way] = Some(b);
+    let kind = PolicyKind::Permutation(spec.clone());
+    // The set after <WBINVD> B0 .. B(A-1), followed by `then`.
+    let state_after = |then: Option<usize>| {
+        let mut sim = SetSim::new(&kind, assoc, 0);
+        for b in (0..assoc).chain(then) {
+            sim.access(b as u64);
         }
-        (policy, tags)
+        sim
     };
-    // Position of each block = how many misses it survives.
-    let positions = |policy: &PermutationPolicy, tags: &[Option<u64>]| -> Vec<usize> {
-        let mut pos = vec![0usize; assoc];
-        let mut p = policy.clone();
-        let mut t = tags.to_vec();
+    // Position of each of the blocks B0 .. BA = how many fresh misses it
+    // survives (0 for a block that is not cached).
+    let positions = |mut sim: SetSim| -> Vec<usize> {
+        let mut pos = vec![None; assoc + 1];
         for round in 0..assoc {
-            let occupied: Vec<bool> = t.iter().map(Option::is_some).collect();
-            let way = p.on_miss(&occupied);
-            if let Some(b) = t[way] {
-                if (b as usize) < assoc {
-                    pos[b as usize] = round;
+            sim.access((assoc + 1 + round) as u64);
+            for (b, p) in pos.iter_mut().enumerate() {
+                if p.is_none() && !sim.contains(b as u64) {
+                    *p = Some(round);
                 }
             }
-            t[way] = Some(1000 + round as u64);
         }
-        pos
+        pos.into_iter().map(|p| p.unwrap_or(0)).collect()
     };
 
-    let (base_policy, base_tags) = fill_state();
-    let canonical = positions(&base_policy, &base_tags);
+    let canonical = positions(state_after(None));
     let mut block_at = vec![0usize; assoc];
-    for (b, &p) in canonical.iter().enumerate() {
+    for (b, &p) in canonical.iter().take(assoc).enumerate() {
         block_at[p] = b;
     }
 
-    let mut hit = Vec::with_capacity(assoc);
-    for &block in block_at.iter().take(assoc) {
-        let (mut policy, tags) = fill_state();
-        let way = tags
-            .iter()
-            .position(|t| *t == Some(block as u64))
-            .expect("block present");
-        let occupied: Vec<bool> = tags.iter().map(Option::is_some).collect();
-        policy.on_hit(way, &occupied);
-        let after = positions(&policy, &tags);
-        let mut perm = vec![0usize; assoc];
-        for (b, &newp) in after.iter().enumerate() {
-            perm[canonical[b]] = newp;
-        }
-        hit.push(perm);
-    }
-
-    let (mut policy, mut tags) = fill_state();
-    let occupied: Vec<bool> = tags.iter().map(Option::is_some).collect();
-    let way = policy.on_miss(&occupied);
-    tags[way] = Some(assoc as u64); // the fresh block
-    let after_all = {
-        let mut pos_of_fresh = 0usize;
-        let mut pos = vec![0usize; assoc];
-        let mut p2 = policy.clone();
-        let mut t2 = tags.clone();
-        for round in 0..assoc {
-            let occ: Vec<bool> = t2.iter().map(Option::is_some).collect();
-            let w = p2.on_miss(&occ);
-            match t2[w] {
-                Some(b) if (b as usize) < assoc => pos[b as usize] = round,
-                Some(b) if b as usize == assoc => pos_of_fresh = round,
-                _ => {}
+    let hit = block_at
+        .iter()
+        .map(|&block| {
+            let after = positions(state_after(Some(block)));
+            let mut perm = vec![0usize; assoc];
+            for b in 0..assoc {
+                perm[canonical[b]] = after[b];
             }
-            t2[w] = Some(2000 + round as u64);
-        }
-        (pos, pos_of_fresh)
-    };
-    let mut miss = vec![usize::MAX; assoc];
-    miss[0] = after_all.1;
+            perm
+        })
+        .collect();
+
+    // One fresh miss (block BA): the victim at canonical position 0 is
+    // replaced by the fresh block, which starts at position 0.
+    let after = positions(state_after(Some(assoc)));
+    let mut miss = vec![0usize; assoc];
+    miss[0] = after[assoc];
     for b in 0..assoc {
-        if canonical[b] == 0 {
-            continue; // evicted victim
-        }
-        miss[canonical[b]] = after_all.0[b];
-    }
-    // Victim position 0 was replaced by the fresh block; fill any hole
-    // defensively (cannot occur for valid specs).
-    for slot in miss.iter_mut() {
-        if *slot == usize::MAX {
-            *slot = 0;
+        if canonical[b] != 0 {
+            miss[canonical[b]] = after[b];
         }
     }
     (hit, miss)

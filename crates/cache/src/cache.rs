@@ -1,6 +1,7 @@
 //! A single set-associative cache.
 
-use crate::policy::{PolicyKind, PolicySlot, SetPolicy};
+use crate::hierarchy::SetRole;
+use crate::policy::{PolicyKind, PolicySlot};
 use std::sync::atomic::{AtomicI32, Ordering};
 use std::sync::Arc;
 
@@ -8,8 +9,8 @@ use std::sync::Arc;
 pub const LINE_SIZE: u64 = 64;
 
 /// Seed salt separating a dueling set's policy-B random stream from its
-/// policy-A stream (shared between construction and reset so both derive
-/// identical streams).
+/// policy-A stream ([`DuelingSet::try_new`] and [`DuelingSet::reset`]
+/// derive it identically, so a reset replays construction).
 pub(crate) const POLICY_B_SEED_SALT: u64 = 0xB00B;
 
 /// Per-set seed derivation used by [`Cache::new`] and [`Cache::reset_seeded`].
@@ -158,145 +159,132 @@ impl PselCounter {
     }
 }
 
-/// A leader-set wrapper: delegates to `inner` and reports misses to the
-/// PSEL counter.
+/// The per-set state of a set-dueling L3 set (§VI-B3): its role, the
+/// policy state that role needs, and the PSEL counter every set of the
+/// cache shares. Leader sets run one policy and report their misses to the
+/// counter; follower sets hold state for both policies and route each
+/// decision to whichever one the counter currently favours (the inactive
+/// policy's state freezes, like hardware reinterpreting the same status
+/// bits).
 #[derive(Debug, Clone)]
-pub struct LeaderPolicy {
-    inner: Box<dyn SetPolicy>,
+pub struct DuelingSet {
+    role: DuelingRole,
     psel: Arc<PselCounter>,
-    /// `true` if this leader runs policy A.
-    is_a: bool,
-    /// Cached `inner.wants_occupied_on_hit()` — the answer never changes
-    /// over a policy's lifetime, and the cache asks on every hit.
+    /// Whether any held policy reads the occupancy on hits (fixed for the
+    /// set's lifetime, and the cache asks on every hit).
     wants_occupied: bool,
 }
 
-impl LeaderPolicy {
-    /// Wraps `inner` as a leader for policy A (`is_a`) or B.
-    pub fn new(inner: Box<dyn SetPolicy>, psel: Arc<PselCounter>, is_a: bool) -> LeaderPolicy {
-        let wants_occupied = inner.wants_occupied_on_hit();
-        LeaderPolicy {
-            inner,
-            psel,
-            is_a,
-            wants_occupied,
-        }
-    }
+/// A [`SetRole`] together with the policy state it needs.
+#[derive(Debug, Clone)]
+enum DuelingRole {
+    LeaderA(PolicySlot),
+    LeaderB(PolicySlot),
+    Follower { a: PolicySlot, b: PolicySlot },
 }
 
-impl SetPolicy for LeaderPolicy {
-    fn on_hit(&mut self, way: usize, occupied: &[bool]) {
-        self.inner.on_hit(way, occupied);
-    }
-
-    fn wants_occupied_on_hit(&self) -> bool {
-        self.wants_occupied
-    }
-
-    fn on_miss(&mut self, occupied: &[bool]) -> usize {
-        if self.is_a {
-            self.psel.miss_in_a();
-        } else {
-            self.psel.miss_in_b();
-        }
-        self.inner.on_miss(occupied)
-    }
-
-    fn on_invalidate(&mut self, way: usize) {
-        self.inner.on_invalidate(way);
-    }
-
-    fn on_flush(&mut self) {
-        self.inner.on_flush();
-    }
-
-    fn reset(&mut self, seed: u64) {
-        // The B leader's inner policy was instantiated with the salted
-        // seed; reproduce that derivation so reset replays construction.
-        let inner_seed = if self.is_a {
-            seed
-        } else {
-            seed ^ POLICY_B_SEED_SALT
+impl DuelingSet {
+    /// Builds the slot of a set with `role`: policy A seeded with `seed`
+    /// and policy B with `seed ^ POLICY_B_SEED_SALT`, each instantiated
+    /// only where the role runs it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of [`PolicyKind::try_instantiate`].
+    pub fn try_new(
+        role: SetRole,
+        policy_a: &PolicyKind,
+        policy_b: &PolicyKind,
+        assoc: usize,
+        seed: u64,
+        psel: &Arc<PselCounter>,
+    ) -> Result<PolicySlot, String> {
+        let a = || policy_a.try_instantiate(assoc, seed);
+        let b = || policy_b.try_instantiate(assoc, seed ^ POLICY_B_SEED_SALT);
+        let role = match role {
+            SetRole::LeaderA => DuelingRole::LeaderA(a()?),
+            SetRole::LeaderB => DuelingRole::LeaderB(b()?),
+            SetRole::Follower => DuelingRole::Follower { a: a()?, b: b()? },
         };
-        self.inner.reset(inner_seed);
-    }
-
-    fn box_clone(&self) -> Box<dyn SetPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-/// A follower-set wrapper: holds state for both candidate policies and
-/// routes each decision to whichever one the PSEL counter currently favours
-/// (the inactive policy's state freezes, like hardware reinterpreting the
-/// same status bits).
-#[derive(Debug, Clone)]
-pub struct FollowerPolicy {
-    a: Box<dyn SetPolicy>,
-    b: Box<dyn SetPolicy>,
-    psel: Arc<PselCounter>,
-    /// Cached "either candidate reads the occupancy on hits" — the answer
-    /// never changes over a policy's lifetime, and the cache asks on every
-    /// hit.
-    wants_occupied: bool,
-}
-
-impl FollowerPolicy {
-    /// Creates a follower over the two candidate policies.
-    pub fn new(
-        a: Box<dyn SetPolicy>,
-        b: Box<dyn SetPolicy>,
-        psel: Arc<PselCounter>,
-    ) -> FollowerPolicy {
-        // Either inner policy may be active when a hit lands.
-        let wants_occupied = a.wants_occupied_on_hit() || b.wants_occupied_on_hit();
-        FollowerPolicy {
-            a,
-            b,
-            psel,
+        let wants_occupied = match &role {
+            DuelingRole::LeaderA(p) | DuelingRole::LeaderB(p) => p.wants_occupied_on_hit(),
+            DuelingRole::Follower { a, b } => {
+                a.wants_occupied_on_hit() || b.wants_occupied_on_hit()
+            }
+        };
+        Ok(PolicySlot::Dueling(Box::new(DuelingSet {
+            role,
+            psel: Arc::clone(psel),
             wants_occupied,
+        })))
+    }
+
+    /// The policy that decides the set's next hit or miss.
+    #[inline]
+    fn active(&mut self) -> &mut PolicySlot {
+        match &mut self.role {
+            DuelingRole::LeaderA(p) | DuelingRole::LeaderB(p) => p,
+            DuelingRole::Follower { a, b } => {
+                if self.psel.use_policy_b() {
+                    b
+                } else {
+                    a
+                }
+            }
         }
     }
 
-    fn active(&mut self) -> &mut Box<dyn SetPolicy> {
-        if self.psel.use_policy_b() {
-            &mut self.b
-        } else {
-            &mut self.a
-        }
-    }
-}
-
-impl SetPolicy for FollowerPolicy {
-    fn on_hit(&mut self, way: usize, occupied: &[bool]) {
+    #[inline]
+    pub(crate) fn on_hit(&mut self, way: usize, occupied: &[bool]) {
         self.active().on_hit(way, occupied);
     }
 
-    fn wants_occupied_on_hit(&self) -> bool {
+    #[inline]
+    pub(crate) fn wants_occupied_on_hit(&self) -> bool {
         self.wants_occupied
     }
 
-    fn on_miss(&mut self, occupied: &[bool]) -> usize {
+    #[inline]
+    pub(crate) fn on_miss(&mut self, occupied: &[bool]) -> usize {
+        match self.role {
+            DuelingRole::LeaderA(_) => self.psel.miss_in_a(),
+            DuelingRole::LeaderB(_) => self.psel.miss_in_b(),
+            DuelingRole::Follower { .. } => {}
+        }
         self.active().on_miss(occupied)
     }
 
-    fn on_invalidate(&mut self, way: usize) {
-        self.a.on_invalidate(way);
-        self.b.on_invalidate(way);
+    pub(crate) fn on_invalidate(&mut self, way: usize) {
+        match &mut self.role {
+            DuelingRole::LeaderA(p) | DuelingRole::LeaderB(p) => p.on_invalidate(way),
+            DuelingRole::Follower { a, b } => {
+                a.on_invalidate(way);
+                b.on_invalidate(way);
+            }
+        }
     }
 
-    fn on_flush(&mut self) {
-        self.a.on_flush();
-        self.b.on_flush();
+    pub(crate) fn on_flush(&mut self) {
+        match &mut self.role {
+            DuelingRole::LeaderA(p) | DuelingRole::LeaderB(p) => p.on_flush(),
+            DuelingRole::Follower { a, b } => {
+                a.on_flush();
+                b.on_flush();
+            }
+        }
     }
 
-    fn reset(&mut self, seed: u64) {
-        self.a.reset(seed);
-        self.b.reset(seed ^ POLICY_B_SEED_SALT);
-    }
-
-    fn box_clone(&self) -> Box<dyn SetPolicy> {
-        Box::new(self.clone())
+    /// Rewinds the held policies to their state after
+    /// [`DuelingSet::try_new`] with `seed`.
+    pub(crate) fn reset(&mut self, seed: u64) {
+        match &mut self.role {
+            DuelingRole::LeaderA(a) => a.reset(seed),
+            DuelingRole::LeaderB(b) => b.reset(seed ^ POLICY_B_SEED_SALT),
+            DuelingRole::Follower { a, b } => {
+                a.reset(seed);
+                b.reset(seed ^ POLICY_B_SEED_SALT);
+            }
+        }
     }
 }
 
@@ -306,7 +294,7 @@ impl SetPolicy for FollowerPolicy {
 /// 2-bit MESI arena for the whole cache, indexed `set * assoc + way`, so
 /// the per-access probe walks one dense cache-line-friendly span instead
 /// of chasing per-set `Vec` allocations.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     /// Block number per way ([`TAG_INVALID`] marks an empty way), indexed
     /// `set * assoc + way`.
@@ -326,42 +314,74 @@ pub struct Cache {
 impl Cache {
     /// Builds a cache from a configuration; `seed` feeds probabilistic
     /// policies (each set derives its own stream).
-    pub fn new(config: &CacheConfig, seed: u64) -> Cache {
-        Cache::with_policies(config.num_sets(), config.assoc, |set| {
-            config
-                .policy
-                .instantiate_slot(config.assoc, derive_set_seed(seed, set))
-        })
-    }
-
-    /// Builds a cache with a custom per-set policy factory (used for set
-    /// dueling, where leader and follower sets differ; wrap those in
-    /// [`PolicySlot::Boxed`]).
     ///
     /// # Panics
     ///
-    /// Panics if `num_sets` is not a power of two or `assoc` is zero.
+    /// Panics where [`Cache::try_new`] returns an error.
+    pub fn new(config: &CacheConfig, seed: u64) -> Cache {
+        match Cache::try_new(config, seed) {
+            Ok(cache) => cache,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Fallible counterpart of [`Cache::new`], for configurations that
+    /// come from external input.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of [`Cache::with_policies`] for the configured
+    /// geometry and policy.
+    pub fn try_new(config: &CacheConfig, seed: u64) -> Result<Cache, String> {
+        let num_sets = config
+            .size_bytes
+            .checked_div(config.assoc as u64 * LINE_SIZE)
+            .unwrap_or(0);
+        Cache::with_policies(num_sets as usize, config.assoc, |set| {
+            config
+                .policy
+                .try_instantiate(config.assoc, derive_set_seed(seed, set))
+        })
+    }
+
+    /// Builds a cache with a custom per-set policy factory (set dueling
+    /// passes [`DuelingSet::try_new`], where leader and follower sets
+    /// differ).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the violated constraint if `num_sets` is
+    /// not a power of two or `assoc` is outside `1..=MAX_ASSOC`, or the
+    /// first error `factory` returns.
     pub fn with_policies(
         num_sets: usize,
         assoc: usize,
-        mut factory: impl FnMut(usize) -> PolicySlot,
-    ) -> Cache {
-        assert!(
-            num_sets.is_power_of_two(),
-            "set count must be a power of two"
-        );
-        assert!(assoc > 0);
-        assert!(assoc <= MAX_ASSOC, "associativity above {MAX_ASSOC}");
+        mut factory: impl FnMut(usize) -> Result<PolicySlot, String>,
+    ) -> Result<Cache, String> {
+        if !num_sets.is_power_of_two() {
+            return Err(format!("set count must be a power of two, got {num_sets}"));
+        }
+        if !(1..=MAX_ASSOC).contains(&assoc) {
+            return Err(format!(
+                "associativity must be between 1 and {MAX_ASSOC}, got {assoc}"
+            ));
+        }
+        // Sized up front: collecting the `Result`s would grow the vector by
+        // doubling, copying every slot of an L3 slice several times.
+        let mut policies = Vec::with_capacity(num_sets);
+        for set in 0..num_sets {
+            policies.push(factory(set)?);
+        }
         let ways = num_sets * assoc;
-        Cache {
+        Ok(Cache {
             tags: vec![TAG_INVALID; ways],
             states: vec![0; ways.div_ceil(4)],
             mru_way: vec![0; num_sets],
-            policies: (0..num_sets).map(&mut factory).collect(),
+            policies,
             assoc,
             set_bits: num_sets.trailing_zeros(),
             stats: CacheStats::default(),
-        }
+        })
     }
 
     /// The MESI state packed at arena index `idx` (`set * assoc + way`).
@@ -438,8 +458,12 @@ impl Cache {
     /// needs on every store hit.
     #[inline]
     pub fn access_with_state(&mut self, paddr: u64) -> Option<LineState> {
-        let block = paddr / LINE_SIZE;
-        let set = self.set_index(paddr);
+        self.access_block(self.set_index(paddr), paddr / LINE_SIZE)
+    }
+
+    /// [`Cache::access_with_state`] on a block number in `set`.
+    #[inline]
+    pub(crate) fn access_block(&mut self, set: usize, block: u64) -> Option<LineState> {
         if let Some(way) = self.find_way(set, block) {
             if self.policies[set].wants_occupied_on_hit() {
                 let mut occ = [false; MAX_ASSOC];
@@ -469,8 +493,14 @@ impl Cache {
     /// the evicted line if a valid line was displaced. If the line is
     /// already present, only its state is updated.
     pub fn fill_with_state(&mut self, paddr: u64, state: LineState) -> Option<u64> {
-        let block = paddr / LINE_SIZE;
-        let set = self.set_index(paddr);
+        self.fill_block(self.set_index(paddr), paddr / LINE_SIZE, state)
+            .map(|evicted| evicted * LINE_SIZE)
+    }
+
+    /// [`Cache::fill_with_state`] on a block number in `set`; returns the
+    /// evicted block number.
+    #[inline]
+    pub(crate) fn fill_block(&mut self, set: usize, block: u64, state: LineState) -> Option<u64> {
         let base = set * self.assoc;
         if let Some(way) = self.find_way(set, block) {
             self.set_state_at(base + way, state); // already present (e.g. racing prefetch)
@@ -487,7 +517,20 @@ impl Cache {
             None
         } else {
             self.stats.evictions += 1;
-            Some(evicted * LINE_SIZE)
+            Some(evicted)
+        }
+    }
+
+    /// Whether block number `block` is cached in `set` (no state change).
+    pub(crate) fn holds_block(&self, set: usize, block: u64) -> bool {
+        self.find_way(set, block).is_some()
+    }
+
+    /// Renames the cached block `old` in `set` to `new`, leaving its way,
+    /// state and replacement state untouched.
+    pub(crate) fn retag(&mut self, set: usize, old: u64, new: u64) {
+        if let Some(way) = self.find_way(set, old) {
+            self.tags[set * self.assoc + way] = new;
         }
     }
 
@@ -607,24 +650,22 @@ mod tests {
 
     #[test]
     fn dueling_wrappers_forward_wants_occupied_on_hit() {
-        // Regression: the set-dueling wrappers must forward the hit-path
-        // occupancy requirement, or a wrapped non-UMO QLRU silently sees
-        // an empty occupancy slice on hits (observable as wrong Table I
-        // inference on the adaptive-L3 parts).
-        let qlru = crate::policy::QlruVariant::parse("QLRU_H11_M1_R1_U2").unwrap();
-        let kind = PolicyKind::Qlru(qlru);
+        // Regression: a dueling set must forward the hit-path occupancy
+        // requirement, or a non-UMO QLRU inside it silently sees an empty
+        // occupancy slice on hits (observable as wrong Table I inference
+        // on the adaptive-L3 parts).
+        let qlru =
+            PolicyKind::Qlru(crate::policy::QlruVariant::parse("QLRU_H11_M1_R1_U2").unwrap());
+        let lru = PolicyKind::Lru;
         let psel = PselCounter::new();
-        let leader = LeaderPolicy::new(kind.instantiate(4, 0), psel.clone(), true);
-        assert!(leader.wants_occupied_on_hit());
-        let follower = FollowerPolicy::new(
-            kind.instantiate(4, 0),
-            PolicyKind::Lru.instantiate(4, 0),
-            psel,
-        );
-        assert!(follower.wants_occupied_on_hit());
-        let lru_leader =
-            LeaderPolicy::new(PolicyKind::Lru.instantiate(4, 0), PselCounter::new(), true);
-        assert!(!lru_leader.wants_occupied_on_hit());
+        let slot = |role, a: &PolicyKind, b: &PolicyKind| {
+            DuelingSet::try_new(role, a, b, 4, 0, &psel).unwrap()
+        };
+        assert!(slot(SetRole::LeaderA, &qlru, &lru).wants_occupied_on_hit());
+        assert!(slot(SetRole::Follower, &qlru, &lru).wants_occupied_on_hit());
+        assert!(slot(SetRole::Follower, &lru, &qlru).wants_occupied_on_hit());
+        assert!(!slot(SetRole::LeaderA, &lru, &qlru).wants_occupied_on_hit());
+        assert!(!slot(SetRole::LeaderB, &qlru, &lru).wants_occupied_on_hit());
     }
 
     #[test]
@@ -689,11 +730,16 @@ mod tests {
 
     #[test]
     fn follower_switches_with_psel() {
-        use crate::policy::PolicyKind;
         let psel = PselCounter::new();
-        let a = PolicyKind::Lru.instantiate(4, 0);
-        let b = PolicyKind::Fifo.instantiate(4, 0);
-        let mut f = FollowerPolicy::new(a, b, Arc::clone(&psel));
+        let mut f = DuelingSet::try_new(
+            SetRole::Follower,
+            &PolicyKind::Lru,
+            &PolicyKind::Fifo,
+            4,
+            0,
+            &psel,
+        )
+        .unwrap();
         let occ = [true; 4];
         // With PSEL at midpoint, policy A (LRU) is active: hits reorder.
         f.on_hit(0, &occ);
@@ -705,5 +751,29 @@ mod tests {
         assert!(psel.use_policy_b());
         let way = f.on_miss(&occ);
         assert_eq!(way, 0, "FIFO (policy B) ignores the earlier hit");
+    }
+
+    #[test]
+    fn dueling_rejects_invalid_policies() {
+        let psel = PselCounter::new();
+        // A B leader never runs policy A, so only policy B is checked.
+        assert!(DuelingSet::try_new(
+            SetRole::Follower,
+            &PolicyKind::Plru,
+            &PolicyKind::Lru,
+            12,
+            0,
+            &psel
+        )
+        .is_err());
+        assert!(DuelingSet::try_new(
+            SetRole::LeaderB,
+            &PolicyKind::Plru,
+            &PolicyKind::Lru,
+            12,
+            0,
+            &psel
+        )
+        .is_ok());
     }
 }

@@ -3,11 +3,8 @@
 //! adaptive replacement via set dueling, and a MESI-style snooping
 //! coherence layer between the cores' private caches.
 
-use crate::cache::{
-    Cache, CacheConfig, CacheStats, FollowerPolicy, LeaderPolicy, LineState, PselCounter,
-    POLICY_B_SEED_SALT,
-};
-use crate::policy::{PolicyKind, PolicySlot};
+use crate::cache::{Cache, CacheConfig, CacheStats, DuelingSet, LineState, PselCounter};
+use crate::policy::PolicyKind;
 use crate::prefetch::Prefetchers;
 use crate::slice::{SliceHash, SliceHashError};
 use std::fmt;
@@ -47,10 +44,16 @@ pub enum HierarchyError {
     /// A multi-core hierarchy over a non-inclusive L3 (the snoop protocol
     /// relies on inclusion).
     NonInclusiveMultiCore,
-    /// L3 sets per slice not a power of two.
-    L3Geometry(usize),
     /// Invalid L3 slice count.
     Slice(SliceHashError),
+    /// A cache level whose geometry or replacement policy cannot be built
+    /// (e.g. a non-power-of-two set count, or PLRU on a 12-way set).
+    Level {
+        /// `"L1"`, `"L2"` or `"L3"`.
+        level: &'static str,
+        /// The violated constraint.
+        reason: String,
+    },
 }
 
 impl fmt::Display for HierarchyError {
@@ -62,15 +65,20 @@ impl fmt::Display for HierarchyError {
             HierarchyError::NonInclusiveMultiCore => {
                 f.write_str("multi-core hierarchies require an inclusive L3")
             }
-            HierarchyError::L3Geometry(sets) => {
-                write!(f, "L3 sets per slice must be a power of two (got {sets})")
-            }
             HierarchyError::Slice(e) => e.fmt(f),
+            HierarchyError::Level { level, reason } => write!(f, "invalid {level}: {reason}"),
         }
     }
 }
 
 impl std::error::Error for HierarchyError {}
+
+impl HierarchyError {
+    /// Wraps a cache constructor's error as [`HierarchyError::Level`].
+    fn level(level: &'static str) -> impl FnOnce(String) -> HierarchyError {
+        move |reason| HierarchyError::Level { level, reason }
+    }
+}
 
 /// A coherence-protocol invariant the hierarchy's state violates,
 /// reported by [`CacheHierarchy::check_invariants`]. Under
@@ -303,10 +311,10 @@ pub struct L3Config {
 }
 
 impl L3Config {
-    /// Sets per slice.
+    /// Sets per slice (0 for a zero slice count or associativity).
     pub fn sets_per_slice(&self) -> usize {
-        let per_slice = self.size_bytes / self.slices as u64;
-        (per_slice / (self.assoc as u64 * 64)) as usize
+        let per_slice = self.size_bytes.checked_div(self.slices as u64).unwrap_or(0);
+        per_slice.checked_div(self.assoc as u64 * 64).unwrap_or(0) as usize
     }
 }
 
@@ -352,12 +360,18 @@ fn core_salt(core: usize) -> u64 {
 }
 
 impl PrivateCaches {
-    fn new(config: &HierarchyConfig, seed: u64, core: usize) -> PrivateCaches {
-        PrivateCaches {
-            l1: Cache::new(&config.l1, seed ^ 0x11 ^ core_salt(core)),
-            l2: Cache::new(&config.l2, seed ^ 0x22 ^ core_salt(core)),
+    fn try_new(
+        config: &HierarchyConfig,
+        seed: u64,
+        core: usize,
+    ) -> Result<PrivateCaches, HierarchyError> {
+        Ok(PrivateCaches {
+            l1: Cache::try_new(&config.l1, seed ^ 0x11 ^ core_salt(core))
+                .map_err(HierarchyError::level("L1"))?,
+            l2: Cache::try_new(&config.l2, seed ^ 0x22 ^ core_salt(core))
+                .map_err(HierarchyError::level("L2"))?,
             prefetchers: Prefetchers::new(),
-        }
+        })
     }
 
     /// The strongest MESI state this core holds the line in (its L1 and
@@ -420,8 +434,7 @@ impl CacheHierarchy {
     ///
     /// # Panics
     ///
-    /// Panics if `n_cores` is 0 or greater than 8, or if the L3 geometry
-    /// is inconsistent.
+    /// Panics where [`CacheHierarchy::try_new_multi`] returns an error.
     pub fn new_multi(config: &HierarchyConfig, seed: u64, n_cores: usize) -> CacheHierarchy {
         match CacheHierarchy::try_new_multi(config, seed, n_cores) {
             Ok(h) => h,
@@ -432,6 +445,12 @@ impl CacheHierarchy {
     /// Fallible form of [`CacheHierarchy::new_multi`]: returns the
     /// constraint violation instead of panicking, for callers assembling
     /// configurations from external input.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`HierarchyError`] if `n_cores` is outside `1..=8`, a
+    /// multi-core L3 is not inclusive, the slice count is invalid, or a
+    /// level's geometry or policy cannot be built.
     pub fn try_new_multi(
         config: &HierarchyConfig,
         seed: u64,
@@ -449,18 +468,17 @@ impl CacheHierarchy {
         if n_cores > 1 && !config.inclusive_l3 {
             return Err(HierarchyError::NonInclusiveMultiCore);
         }
+        let hash = SliceHash::new(config.slice_count()).map_err(HierarchyError::Slice)?;
         let psel = PselCounter::new();
         let sets_per_slice = config.l3.sets_per_slice();
-        if !sets_per_slice.is_power_of_two() {
-            return Err(HierarchyError::L3Geometry(sets_per_slice));
-        }
+        let assoc = config.l3.assoc;
         let mut l3 = Vec::with_capacity(config.l3.slices);
         for slice in 0..config.l3.slices {
             let slice_seed = seed ^ ((slice as u64 + 1) << 48);
             let cache = match &config.l3.policy {
                 L3PolicyConfig::Uniform(kind) => {
-                    Cache::with_policies(sets_per_slice, config.l3.assoc, |set| {
-                        kind.instantiate_slot(config.l3.assoc, slice_seed ^ set as u64)
+                    Cache::with_policies(sets_per_slice, assoc, |set| {
+                        kind.try_instantiate(assoc, slice_seed ^ set as u64)
                     })
                 }
                 L3PolicyConfig::Adaptive {
@@ -469,38 +487,27 @@ impl CacheHierarchy {
                     leaders,
                 } => {
                     let slice_leaders = leaders.get(slice).cloned().unwrap_or_default();
-                    let psel = Arc::clone(&psel);
-                    Cache::with_policies(sets_per_slice, config.l3.assoc, move |set| {
-                        let sa = policy_a.instantiate(config.l3.assoc, slice_seed ^ set as u64);
-                        let sb = policy_b.instantiate(
-                            config.l3.assoc,
-                            slice_seed ^ set as u64 ^ POLICY_B_SEED_SALT,
-                        );
-                        // Dueling wrappers stay behind the boxed escape
-                        // hatch; only the uniform families devirtualize.
-                        PolicySlot::Boxed(match slice_leaders.role_of(set) {
-                            SetRole::LeaderA => {
-                                Box::new(LeaderPolicy::new(sa, Arc::clone(&psel), true))
-                            }
-                            SetRole::LeaderB => {
-                                Box::new(LeaderPolicy::new(sb, Arc::clone(&psel), false))
-                            }
-                            SetRole::Follower => {
-                                Box::new(FollowerPolicy::new(sa, sb, Arc::clone(&psel)))
-                            }
-                        })
+                    Cache::with_policies(sets_per_slice, assoc, |set| {
+                        DuelingSet::try_new(
+                            slice_leaders.role_of(set),
+                            policy_a,
+                            policy_b,
+                            assoc,
+                            slice_seed ^ set as u64,
+                            &psel,
+                        )
                     })
                 }
             };
-            l3.push(cache);
+            l3.push(cache.map_err(HierarchyError::level("L3"))?);
         }
         let slices = config.slice_count();
         Ok(CacheHierarchy {
             cores: (0..n_cores)
-                .map(|core| PrivateCaches::new(config, seed, core))
-                .collect(),
+                .map(|core| PrivateCaches::try_new(config, seed, core))
+                .collect::<Result<_, _>>()?,
             l3,
-            hash: SliceHash::new(slices).map_err(HierarchyError::Slice)?,
+            hash,
             psel,
             uncore_lookups: vec![0; slices],
             uncore_total: 0,
@@ -1207,6 +1214,28 @@ mod tests {
             },
             latencies: Latencies::default(),
             inclusive_l3: true,
+        }
+    }
+
+    #[test]
+    fn try_new_multi_returns_errors_instead_of_panicking() {
+        let mut plru_l3 = small_config();
+        plru_l3.l3 = L3Config {
+            size_bytes: 2 * 64 * 12 * 64, // 2 slices x 64 sets x 12 ways
+            assoc: 12,
+            slices: 2,
+            policy: L3PolicyConfig::Uniform(PolicyKind::Plru),
+        };
+        let mut wide_l1 = small_config();
+        wide_l1.l1.size_bytes = 32 * 1024;
+        wide_l1.l1.assoc = 80;
+        let mut zero_way_l2 = small_config();
+        zero_way_l2.l2.assoc = 0;
+        for (config, level) in [(plru_l3, "L3"), (wide_l1, "L1"), (zero_way_l2, "L2")] {
+            match CacheHierarchy::try_new_multi(&config, 0, 1) {
+                Err(HierarchyError::Level { level: got, .. }) => assert_eq!(got, level),
+                other => panic!("expected an invalid {level}, got {other:?}"),
+            }
         }
     }
 

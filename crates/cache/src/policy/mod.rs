@@ -21,6 +21,7 @@ pub use qlru::{
     all_meaningful_qlru_variants, HitFunc, InsertAge, QlruPolicy, QlruVariant, RVariant, UVariant,
 };
 
+use crate::cache::{Cache, DuelingSet, LineState};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -66,22 +67,13 @@ pub trait SetPolicy: fmt::Debug + Send {
     /// cache replays bit-identically to a freshly built one.
     /// Deterministic policies ignore `seed`.
     fn reset(&mut self, seed: u64);
-
-    /// Clones the policy into a fresh box (object-safe `Clone`).
-    fn box_clone(&self) -> Box<dyn SetPolicy>;
 }
 
-impl Clone for Box<dyn SetPolicy> {
-    fn clone(&self) -> Box<dyn SetPolicy> {
-        self.box_clone()
-    }
-}
-
-/// Devirtualized per-set policy dispatch: one variant per built-in policy
-/// family, so the cache's access path resolves policy calls through a
-/// direct `match` instead of a vtable. [`PolicySlot::Boxed`] is the escape
-/// hatch for wrapper policies (the set-dueling leader/follower wrappers)
-/// and external [`SetPolicy`] implementations.
+/// Per-set replacement state, the only form in which a policy runs: one
+/// variant per built-in policy family, so the cache's access path resolves
+/// policy calls through a direct `match` instead of a vtable.
+/// [`PolicyKind::try_instantiate`] builds the single-policy variants and
+/// [`DuelingSet::try_new`] the set-dueling one.
 #[derive(Debug, Clone)]
 pub enum PolicySlot {
     /// Least-recently-used.
@@ -94,17 +86,17 @@ pub enum PolicySlot {
     Mru(Mru),
     /// A QLRU variant.
     Qlru(QlruPolicy),
-    /// An arbitrary permutation policy.
-    Permutation(PermutationPolicy),
+    /// An arbitrary permutation policy; boxed, as its specification is
+    /// larger than every other policy's state.
+    Permutation(Box<PermutationPolicy>),
     /// Uniformly random replacement.
     Random(RandomPolicy),
-    /// Dynamic dispatch for wrappers and external policies.
-    Boxed(Box<dyn SetPolicy>),
+    /// A set-dueling set (§VI-B3); boxed, as it holds up to two policies.
+    Dueling(Box<DuelingSet>),
 }
 
-/// Delegates a [`SetPolicy`] method call to whichever concrete policy the
-/// slot holds (direct call for the built-in variants, vtable only for
-/// `Boxed`).
+/// Delegates a [`SetPolicy`] method call to whichever policy the slot
+/// holds (a direct call, never through a vtable).
 macro_rules! for_each_slot {
     ($slot:expr, $p:ident => $call:expr) => {
         match $slot {
@@ -115,7 +107,7 @@ macro_rules! for_each_slot {
             PolicySlot::Qlru($p) => $call,
             PolicySlot::Permutation($p) => $call,
             PolicySlot::Random($p) => $call,
-            PolicySlot::Boxed($p) => $call,
+            PolicySlot::Dueling($p) => $call,
         }
     };
 }
@@ -279,7 +271,9 @@ impl PolicyKind {
     }
 
     /// Instantiates per-set state for a set with `assoc` ways, validating
-    /// the policy/associativity combination first.
+    /// the policy/associativity combination first. This is the one
+    /// factory every cache, dueling set and [`SetSim`] builds its policies
+    /// with.
     ///
     /// `seed` provides determinism for probabilistic policies; derive it
     /// from (cache seed, set index) so different sets draw independently.
@@ -287,49 +281,7 @@ impl PolicyKind {
     /// # Errors
     ///
     /// Returns the error of [`PolicyKind::validate`].
-    pub fn try_instantiate(&self, assoc: usize, seed: u64) -> Result<Box<dyn SetPolicy>, String> {
-        self.validate(assoc)?;
-        Ok(match self {
-            PolicyKind::Lru => Box::new(Lru::new(assoc)),
-            PolicyKind::Fifo => Box::new(Fifo::new(assoc)),
-            PolicyKind::Plru => Box::new(Plru::new(assoc)),
-            PolicyKind::Mru { fill_sets_all_ones } => {
-                Box::new(Mru::new(assoc, *fill_sets_all_ones))
-            }
-            PolicyKind::Qlru(v) => {
-                Box::new(QlruPolicy::new(assoc, *v, SmallRng::seed_from_u64(seed)))
-            }
-            PolicyKind::Permutation(spec) => Box::new(PermutationPolicy::try_new(spec.clone())?),
-            PolicyKind::Random => Box::new(RandomPolicy::new(assoc, SmallRng::seed_from_u64(seed))),
-        })
-    }
-
-    /// Instantiates per-set state for a set with `assoc` ways.
-    ///
-    /// `seed` provides determinism for probabilistic policies; derive it
-    /// from (cache seed, set index) so different sets draw independently.
-    /// Use [`PolicyKind::try_instantiate`] where the policy comes from
-    /// user input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`PolicyKind::validate`] rejects the combination (e.g.
-    /// `assoc` is 0, or the policy is PLRU and `assoc` is not a power of
-    /// two).
-    pub fn instantiate(&self, assoc: usize, seed: u64) -> Box<dyn SetPolicy> {
-        match self.try_instantiate(assoc, seed) {
-            Ok(policy) => policy,
-            Err(e) => panic!("cannot instantiate policy {}: {e}", self.name()),
-        }
-    }
-
-    /// Like [`PolicyKind::try_instantiate`], but returns the devirtualized
-    /// [`PolicySlot`] the cache's hot path dispatches through.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of [`PolicyKind::validate`].
-    pub fn try_instantiate_slot(&self, assoc: usize, seed: u64) -> Result<PolicySlot, String> {
+    pub fn try_instantiate(&self, assoc: usize, seed: u64) -> Result<PolicySlot, String> {
         self.validate(assoc)?;
         Ok(match self {
             PolicyKind::Lru => PolicySlot::Lru(Lru::new(assoc)),
@@ -342,7 +294,7 @@ impl PolicyKind {
                 PolicySlot::Qlru(QlruPolicy::new(assoc, *v, SmallRng::seed_from_u64(seed)))
             }
             PolicyKind::Permutation(spec) => {
-                PolicySlot::Permutation(PermutationPolicy::try_new(spec.clone())?)
+                PolicySlot::Permutation(Box::new(PermutationPolicy::try_new(spec.clone())?))
             }
             PolicyKind::Random => {
                 PolicySlot::Random(RandomPolicy::new(assoc, SmallRng::seed_from_u64(seed)))
@@ -350,14 +302,16 @@ impl PolicyKind {
         })
     }
 
-    /// Panicking counterpart of [`PolicyKind::try_instantiate_slot`], for
+    /// Panicking counterpart of [`PolicyKind::try_instantiate`], for
     /// validated configurations.
     ///
     /// # Panics
     ///
-    /// Panics if [`PolicyKind::validate`] rejects the combination.
-    pub fn instantiate_slot(&self, assoc: usize, seed: u64) -> PolicySlot {
-        match self.try_instantiate_slot(assoc, seed) {
+    /// Panics if [`PolicyKind::validate`] rejects the combination (e.g.
+    /// `assoc` is 0, or the policy is PLRU and `assoc` is not a power of
+    /// two).
+    pub fn instantiate(&self, assoc: usize, seed: u64) -> PolicySlot {
+        match self.try_instantiate(assoc, seed) {
             Ok(slot) => slot,
             Err(e) => panic!("cannot instantiate policy {}: {e}", self.name()),
         }
@@ -390,19 +344,28 @@ pub fn simulate_sequence(kind: &PolicyKind, assoc: usize, seed: u64, blocks: &[u
     blocks.iter().map(|b| sim.access(*b)).collect()
 }
 
-/// A standalone single-set simulator (contents + policy).
+/// A standalone single-set simulator: a block-id view over a one-set
+/// [`Cache`], so candidate policies run through the same tag arena and
+/// [`PolicySlot`] dispatch as the simulated hierarchy.
 #[derive(Debug, Clone)]
 pub struct SetSim {
-    tags: Vec<Option<u64>>,
-    policy: Box<dyn SetPolicy>,
+    cache: Cache,
+    /// The arena marks empty ways with `u64::MAX`, so while block id
+    /// `u64::MAX` is cached it is stored under this stand-in tag, which no
+    /// other cached block has.
+    max_alias: Option<u64>,
 }
 
 impl SetSim {
     /// Creates an empty set with `assoc` ways governed by `kind`.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`SetSim::try_new`] returns an error.
     pub fn new(kind: &PolicyKind, assoc: usize, seed: u64) -> SetSim {
-        SetSim {
-            tags: vec![None; assoc],
-            policy: kind.instantiate(assoc, seed),
+        match SetSim::try_new(kind, assoc, seed) {
+            Ok(sim) => sim,
+            Err(e) => panic!("cannot instantiate policy {}: {e}", kind.name()),
         }
     }
 
@@ -410,43 +373,81 @@ impl SetSim {
     ///
     /// # Errors
     ///
-    /// Returns the error of [`PolicyKind::validate`].
+    /// Returns the error of [`PolicyKind::validate`], or of
+    /// [`Cache::with_policies`] when `assoc` exceeds
+    /// [`MAX_ASSOC`](crate::cache::MAX_ASSOC).
     pub fn try_new(kind: &PolicyKind, assoc: usize, seed: u64) -> Result<SetSim, String> {
         Ok(SetSim {
-            tags: vec![None; assoc],
-            policy: kind.try_instantiate(assoc, seed)?,
+            cache: Cache::with_policies(1, assoc, |_| kind.try_instantiate(assoc, seed))?,
+            max_alias: None,
         })
     }
 
     /// Accesses `block`; returns `true` on a hit.
     pub fn access(&mut self, block: u64) -> bool {
-        let occupied: Vec<bool> = self.tags.iter().map(Option::is_some).collect();
-        if let Some(way) = self.tags.iter().position(|t| *t == Some(block)) {
-            self.policy.on_hit(way, &occupied);
-            true
-        } else {
-            let way = self.policy.on_miss(&occupied);
-            assert!(way < self.tags.len(), "policy returned way out of range");
-            self.tags[way] = Some(block);
-            false
+        let tag = self.tag_for_access(block);
+        if self.cache.access_block(0, tag).is_some() {
+            return true;
         }
+        let evicted = self.cache.fill_block(0, tag, LineState::Exclusive);
+        if evicted.is_some() && evicted == self.max_alias {
+            self.max_alias = None;
+        }
+        false
+    }
+
+    /// The arena tag an access to `block` looks up, moving the stand-in
+    /// for `u64::MAX` out of the way when `block` itself is that tag.
+    fn tag_for_access(&mut self, block: u64) -> u64 {
+        if block == u64::MAX {
+            let alias = self.max_alias.unwrap_or_else(|| self.unused_tag());
+            return *self.max_alias.insert(alias);
+        }
+        if self.max_alias == Some(block) {
+            let fresh = self.unused_tag();
+            self.cache.retag(0, block, fresh);
+            self.max_alias = Some(fresh);
+        }
+        block
+    }
+
+    /// A tag no cached block is stored under (the set holds at most
+    /// [`MAX_ASSOC`](crate::cache::MAX_ASSOC) blocks, so the search is
+    /// short).
+    fn unused_tag(&self) -> u64 {
+        (1..)
+            .map(|k| u64::MAX - k)
+            .find(|&t| !self.cache.holds_block(0, t))
+            .expect("a set holds at most MAX_ASSOC blocks")
     }
 
     /// Returns `true` if `block` is currently cached (without touching
     /// policy state).
     pub fn contains(&self, block: u64) -> bool {
-        self.tags.contains(&Some(block))
+        if block == u64::MAX {
+            self.max_alias.is_some()
+        } else {
+            self.max_alias != Some(block) && self.cache.holds_block(0, block)
+        }
     }
 
     /// Empties the set, as after `WBINVD`.
     pub fn flush(&mut self) {
-        self.tags.fill(None);
-        self.policy.on_flush();
+        self.cache.flush_all();
+        self.max_alias = None;
     }
 
     /// The current contents by way (left = way 0).
-    pub fn contents(&self) -> &[Option<u64>] {
-        &self.tags
+    pub fn contents(&self) -> Vec<Option<u64>> {
+        let mut contents = self.cache.set_contents(0);
+        if let Some(alias) = self.max_alias {
+            for tag in contents.iter_mut().flatten() {
+                if *tag == alias {
+                    *tag = u64::MAX;
+                }
+            }
+        }
+        contents
     }
 }
 
@@ -496,6 +497,50 @@ mod tests {
         assert!(SetSim::try_new(&PolicyKind::Plru, 12, 0).is_err());
         let sim = SetSim::try_new(&PolicyKind::Plru, 8, 0);
         assert!(sim.is_ok());
+        // The arena's occupancy buffer bounds every set, SetSim's included.
+        let too_wide = crate::cache::MAX_ASSOC + 1;
+        assert!(SetSim::try_new(&PolicyKind::Lru, too_wide, 0).is_err());
+    }
+
+    #[test]
+    fn set_sim_caches_the_empty_way_sentinel_like_any_block() {
+        // The arena marks empty ways with `u64::MAX`; as a block id it must
+        // still miss on an empty set, then behave like any other block.
+        assert_eq!(
+            simulate_sequence(&PolicyKind::Lru, 2, 0, &[u64::MAX]),
+            [false]
+        );
+        let hits = simulate_sequence(
+            &PolicyKind::Lru,
+            2,
+            0,
+            &[u64::MAX, u64::MAX, 0, 1, u64::MAX],
+        );
+        assert_eq!(hits, [false, true, false, false, false]);
+        // Blocks next to the sentinel stay distinct from it.
+        let seq = [u64::MAX, u64::MAX - 1, u64::MAX - 2, u64::MAX, u64::MAX - 1];
+        assert_eq!(
+            simulate_sequence(&PolicyKind::Lru, 4, 0, &seq),
+            [false, false, false, true, true]
+        );
+        let mut sim = SetSim::new(&PolicyKind::Fifo, 2, 0);
+        sim.access(u64::MAX);
+        sim.access(u64::MAX - 1);
+        assert_eq!(sim.contents(), [Some(u64::MAX), Some(u64::MAX - 1)]);
+        assert!(sim.contains(u64::MAX) && sim.contains(u64::MAX - 1));
+        assert!(!sim.access(0)); // FIFO evicts u64::MAX
+        assert!(!sim.contains(u64::MAX));
+        assert!(sim.contains(u64::MAX - 1));
+        sim.flush();
+        assert!(!sim.access(u64::MAX));
+    }
+
+    #[test]
+    fn policy_slot_stays_within_its_size_budget() {
+        // Every set of every cache holds one slot, so the permutation and
+        // dueling arms are boxed: the slot is the size of the QLRU state
+        // (72 bytes on x86-64; 120 before permutation specs were boxed).
+        assert!(std::mem::size_of::<PolicySlot>() <= 72);
     }
 
     #[test]

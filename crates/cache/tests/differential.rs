@@ -1,33 +1,35 @@
 //! Differential test: the arena/enum cache against a naive reference model.
 //!
 //! The oracle keeps the pre-refactor representation — per-set
-//! `Vec<Option<u64>>` tags plus per-set `Box<dyn SetPolicy>` — and always
-//! hands the policy a full occupancy slice on hits, i.e. it does not use
-//! the `wants_occupied_on_hit` fast path, has no MRU-way probe, and no
-//! packed state words. Agreement on every observable (hit/miss + MESI
-//! state, eviction victim, invalidation result, stats, final contents)
-//! pins the refactored storage layout and enum dispatch as
-//! behaviour-preserving across the whole policy library, including the
-//! boxed set-dueling escape hatch.
+//! `Vec<Option<u64>>` tags plus per-set `Box<dyn SetPolicy>` built
+//! directly from the concrete policy types, with its own set-dueling
+//! leader/follower wrappers — and always hands the policy a full occupancy
+//! slice on hits, i.e. it does not use the `wants_occupied_on_hit` fast
+//! path, has no MRU-way probe, and no packed state words. Agreement on
+//! every observable (hit/miss + MESI state, eviction victim, invalidation
+//! result, stats, final contents) pins the storage layout, the
+//! `PolicySlot` factory and enum dispatch as behaviour-preserving across
+//! the whole policy library, set dueling included.
 
 use std::sync::Arc;
 
-use nanobench_cache::cache::{FollowerPolicy, LeaderPolicy};
-use nanobench_cache::policy::PolicySlot;
+use nanobench_cache::cache::DuelingSet;
+use nanobench_cache::policy::{Fifo, Lru, Mru, PermutationPolicy, Plru, QlruPolicy, RandomPolicy};
 use nanobench_cache::{
-    Cache, CacheStats, LineState, PolicyKind, PselCounter, SetPolicy, LINE_SIZE,
+    Cache, CacheStats, LineState, PolicyKind, PselCounter, SetPolicy, SetRole, LINE_SIZE,
 };
 use proptest::prelude::*;
 use proptest::TestRng;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 const NUM_SETS: usize = 4;
 /// Distinct cache blocks the generated streams touch: 8 per set, i.e.
 /// 2x the largest associativity, so evictions and re-fills are common.
 const BLOCK_SPAN: u64 = 32;
 
-/// Mirrors the salt the hierarchy uses to split a dueling set's policy-B
-/// stream from its policy-A stream. The exact value is irrelevant here —
-/// both models below must merely derive identical seeds.
+/// Mirrors the salt `DuelingSet` uses to split a dueling set's policy-B
+/// stream from its policy-A stream.
 const B_SEED_SALT: u64 = 0xB00B;
 
 /// Per-set seed derivation applied identically to both models (the
@@ -35,6 +37,89 @@ const B_SEED_SALT: u64 = 0xB00B;
 /// needs symmetry, not the same constants).
 fn set_seed(case_seed: u64, set: usize) -> u64 {
     case_seed ^ (set as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// The oracle's policy factory: the concrete policy types, boxed, with
+/// the same seeding as `PolicyKind::try_instantiate`.
+fn concrete(kind: &PolicyKind, assoc: usize, seed: u64) -> Box<dyn SetPolicy> {
+    match kind {
+        PolicyKind::Lru => Box::new(Lru::new(assoc)),
+        PolicyKind::Fifo => Box::new(Fifo::new(assoc)),
+        PolicyKind::Plru => Box::new(Plru::new(assoc)),
+        PolicyKind::Mru { fill_sets_all_ones } => Box::new(Mru::new(assoc, *fill_sets_all_ones)),
+        PolicyKind::Qlru(v) => Box::new(QlruPolicy::new(assoc, *v, SmallRng::seed_from_u64(seed))),
+        PolicyKind::Permutation(spec) => Box::new(PermutationPolicy::new(spec.clone())),
+        PolicyKind::Random => Box::new(RandomPolicy::new(assoc, SmallRng::seed_from_u64(seed))),
+    }
+}
+
+/// The oracle's leader set: one policy, misses reported to the PSEL.
+#[derive(Debug)]
+struct NaiveLeader {
+    inner: Box<dyn SetPolicy>,
+    psel: Arc<PselCounter>,
+    is_a: bool,
+}
+
+impl SetPolicy for NaiveLeader {
+    fn on_hit(&mut self, way: usize, occupied: &[bool]) {
+        self.inner.on_hit(way, occupied);
+    }
+    fn on_miss(&mut self, occupied: &[bool]) -> usize {
+        if self.is_a {
+            self.psel.miss_in_a();
+        } else {
+            self.psel.miss_in_b();
+        }
+        self.inner.on_miss(occupied)
+    }
+    fn on_invalidate(&mut self, way: usize) {
+        self.inner.on_invalidate(way);
+    }
+    fn on_flush(&mut self) {
+        self.inner.on_flush();
+    }
+    fn reset(&mut self, _seed: u64) {
+        unreachable!("the oracle is never reset")
+    }
+}
+
+/// The oracle's follower set: both policies, decisions by the PSEL.
+#[derive(Debug)]
+struct NaiveFollower {
+    a: Box<dyn SetPolicy>,
+    b: Box<dyn SetPolicy>,
+    psel: Arc<PselCounter>,
+}
+
+impl NaiveFollower {
+    fn active(&mut self) -> &mut dyn SetPolicy {
+        if self.psel.use_policy_b() {
+            self.b.as_mut()
+        } else {
+            self.a.as_mut()
+        }
+    }
+}
+
+impl SetPolicy for NaiveFollower {
+    fn on_hit(&mut self, way: usize, occupied: &[bool]) {
+        self.active().on_hit(way, occupied);
+    }
+    fn on_miss(&mut self, occupied: &[bool]) -> usize {
+        self.active().on_miss(occupied)
+    }
+    fn on_invalidate(&mut self, way: usize) {
+        self.a.on_invalidate(way);
+        self.b.on_invalidate(way);
+    }
+    fn on_flush(&mut self) {
+        self.a.on_flush();
+        self.b.on_flush();
+    }
+    fn reset(&mut self, _seed: u64) {
+        unreachable!("the oracle is never reset")
+    }
 }
 
 /// The pre-refactor cache representation, reimplemented as a test oracle.
@@ -257,6 +342,16 @@ const POLICIES: &[&str] = &[
     "QLRU_H00_M1_R2_U1",
 ];
 
+/// The dueling role of set `set` in the generated caches: set 0 leads for
+/// policy A, set 1 for policy B, the rest follow.
+fn role_of(set: usize) -> SetRole {
+    match set {
+        0 => SetRole::LeaderA,
+        1 => SetRole::LeaderB,
+        _ => SetRole::Follower,
+    }
+}
+
 proptest! {
     /// Uniform-policy caches: the enum fast path against the boxed oracle.
     #[test]
@@ -268,17 +363,18 @@ proptest! {
     ) {
         let kind = PolicyKind::parse(POLICIES[policy_idx]).unwrap();
         let arena = Cache::with_policies(NUM_SETS, assoc, |set| {
-            kind.instantiate_slot(assoc, set_seed(case_seed, set))
-        });
+            kind.try_instantiate(assoc, set_seed(case_seed, set))
+        })
+        .unwrap();
         let oracle = NaiveCache::new(NUM_SETS, assoc, |set| {
-            kind.instantiate(assoc, set_seed(case_seed, set))
+            concrete(&kind, assoc, set_seed(case_seed, set))
         });
         check_equivalence(arena, oracle, &ops);
     }
 
-    /// Set dueling through the `PolicySlot::Boxed` escape hatch: leader
-    /// sets 0 (policy A) and 1 (policy B), followers elsewhere, each model
-    /// owning an independent PSEL counter that must evolve identically.
+    /// Set dueling: `DuelingSet` slots against the oracle's own leader and
+    /// follower wrappers, each model owning an independent PSEL counter
+    /// that must evolve identically.
     #[test]
     fn dueling_cache_matches_naive_model(
         assoc in prop_oneof![Just(4usize), Just(8usize)],
@@ -287,38 +383,26 @@ proptest! {
     ) {
         let a = PolicyKind::Lru;
         let b = PolicyKind::parse("QLRU_H00_M1_R2_U1").unwrap();
-        let make = |psel: &Arc<PselCounter>| {
-            let psel = Arc::clone(psel);
-            let (a, b) = (a.clone(), b.clone());
-            move |set: usize| -> Box<dyn SetPolicy> {
-                let sa = set_seed(case_seed, set);
-                let sb = sa ^ B_SEED_SALT;
-                match set {
-                    0 => Box::new(LeaderPolicy::new(
-                        a.instantiate(assoc, sa),
-                        Arc::clone(&psel),
-                        true,
-                    )),
-                    1 => Box::new(LeaderPolicy::new(
-                        b.instantiate(assoc, sb),
-                        Arc::clone(&psel),
-                        false,
-                    )),
-                    _ => Box::new(FollowerPolicy::new(
-                        a.instantiate(assoc, sa),
-                        b.instantiate(assoc, sb),
-                        Arc::clone(&psel),
-                    )),
-                }
-            }
-        };
         let arena_psel = PselCounter::new();
-        let arena_factory = make(&arena_psel);
         let arena = Cache::with_policies(NUM_SETS, assoc, |set| {
-            PolicySlot::Boxed(arena_factory(set))
-        });
+            DuelingSet::try_new(role_of(set), &a, &b, assoc, set_seed(case_seed, set), &arena_psel)
+        })
+        .unwrap();
         let oracle_psel = PselCounter::new();
-        let oracle = NaiveCache::new(NUM_SETS, assoc, make(&oracle_psel));
+        let oracle = NaiveCache::new(NUM_SETS, assoc, |set| -> Box<dyn SetPolicy> {
+            let sa = set_seed(case_seed, set);
+            let sb = sa ^ B_SEED_SALT;
+            let psel = Arc::clone(&oracle_psel);
+            match role_of(set) {
+                SetRole::LeaderA => Box::new(NaiveLeader { inner: concrete(&a, assoc, sa), psel, is_a: true }),
+                SetRole::LeaderB => Box::new(NaiveLeader { inner: concrete(&b, assoc, sb), psel, is_a: false }),
+                SetRole::Follower => Box::new(NaiveFollower {
+                    a: concrete(&a, assoc, sa),
+                    b: concrete(&b, assoc, sb),
+                    psel,
+                }),
+            }
+        });
         check_equivalence(arena, oracle, &ops);
         prop_assert_eq!(arena_psel.value(), oracle_psel.value());
     }

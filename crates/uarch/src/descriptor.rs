@@ -125,13 +125,6 @@ fn normalized_form(inst: &Instruction) -> Vec<OpKind> {
         .collect()
 }
 
-/// Whether the mnemonic is a pure data move: with a memory operand it has
-/// no compute µop (the load/store µop is everything). Delegates to the
-/// shared def/use metadata in [`nanobench_x86::defuse`].
-pub fn is_move(m: Mnemonic) -> bool {
-    nanobench_x86::defuse::is_move(m)
-}
-
 /// Per-microarchitecture descriptor table.
 #[derive(Debug, Clone)]
 pub struct DescriptorTable {
@@ -171,7 +164,9 @@ impl DescriptorTable {
     /// counter reads, privileged instructions).
     pub fn lookup(&self, inst: &Instruction) -> Option<InstrDesc> {
         let m = inst.mnemonic;
-        if is_move(m) && inst.operands.iter().any(|o| matches!(o, Operand::Mem(_))) {
+        if nanobench_x86::defuse::is_move(m)
+            && inst.operands.iter().any(|o| matches!(o, Operand::Mem(_)))
+        {
             return Some(InstrDesc { uops: Vec::new() });
         }
         let form = normalized_form(inst);

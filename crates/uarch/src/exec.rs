@@ -12,7 +12,7 @@ use crate::plan::{FastAlu, FastOp, FastSrc};
 use crate::state::CpuState;
 use nanobench_x86::inst::{Instruction, Mnemonic};
 use nanobench_x86::operand::{MemRef, Operand};
-use nanobench_x86::reg::{Flag, Gpr, GprPart, Width};
+use nanobench_x86::reg::{Flag, Gpr, Width};
 
 /// Control-flow outcome of an instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -589,20 +589,6 @@ pub fn branch_taken(inst: &Instruction, state: &CpuState) -> bool {
     }
 }
 
-/// The GPRs an instruction reads (for dependency tracking), including
-/// address registers of memory operands.
-///
-/// Delegates to [`nanobench_x86::defuse`], the single source of truth for
-/// per-instruction read/write sets.
-pub fn input_gprs(inst: &Instruction) -> Vec<GprPart> {
-    nanobench_x86::defuse::input_gprs(inst)
-}
-
-/// The GPRs an instruction writes (see [`nanobench_x86::defuse`]).
-pub fn output_gprs(inst: &Instruction) -> Vec<GprPart> {
-    nanobench_x86::defuse::output_gprs(inst)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -781,21 +767,5 @@ mod tests {
         let insts = parse_asm("mov rbx, 0; div rbx").unwrap();
         execute(&insts[0], &mut s, bus).unwrap();
         assert_eq!(execute(&insts[1], &mut s, bus), Err(CpuFault::DivideError));
-    }
-
-    #[test]
-    fn io_dependency_metadata() {
-        let insts = parse_asm("add rax, [r14+rcx*8]").unwrap();
-        let ins = input_gprs(&insts[0]);
-        let regs: Vec<Gpr> = ins.iter().map(|g| g.reg).collect();
-        assert!(regs.contains(&Gpr::Rax)); // RMW reads dst
-        assert!(regs.contains(&Gpr::R14));
-        assert!(regs.contains(&Gpr::Rcx));
-        let outs = output_gprs(&insts[0]);
-        assert_eq!(outs.len(), 1);
-        assert_eq!(outs[0].reg, Gpr::Rax);
-
-        let mov = parse_asm("mov rax, rbx").unwrap();
-        assert!(!input_gprs(&mov[0]).iter().any(|g| g.reg == Gpr::Rax));
     }
 }

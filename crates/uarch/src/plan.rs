@@ -44,8 +44,7 @@
 //!   plan for every run: same PMU counts, cycles, and architectural
 //!   state, pinned by the `plan_equivalence` suite over the full corpus.
 
-use crate::descriptor::{is_move, DescriptorTable, PortClass, UopSpec};
-use crate::exec;
+use crate::descriptor::{DescriptorTable, PortClass, UopSpec};
 use crate::port::{MicroArch, PortSet};
 use nanobench_x86::defuse;
 use nanobench_x86::inst::{Instruction, Mnemonic};
@@ -612,13 +611,13 @@ impl PlanBody {
             // is a max over the set).
             hot.in_regs = Span::push(
                 &mut body.regs,
-                exec::input_gprs(inst).iter().map(|g| g.reg.number()),
+                defuse::input_gprs(inst).iter().map(|g| g.reg.number()),
             );
             cold.in_vregs = Span::push(
                 &mut body.regs,
                 inst.operands.iter().enumerate().filter_map(|(i, op)| {
                     if let Operand::Vec(v) = op {
-                        if i > 0 || !is_move(m) || inst.operands.len() > 2 {
+                        if i > 0 || !defuse::is_move(m) || inst.operands.len() > 2 {
                             return Some(v.index);
                         }
                     }
@@ -627,7 +626,7 @@ impl PlanBody {
             );
             hot.out_regs = Span::push(
                 &mut body.regs,
-                exec::output_gprs(inst).iter().map(|g| g.reg.number()),
+                defuse::output_gprs(inst).iter().map(|g| g.reg.number()),
             );
             if let Some(Operand::Vec(v)) = inst.dst() {
                 cold.out_vreg = Some(v.index);

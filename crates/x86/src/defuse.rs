@@ -341,6 +341,21 @@ mod tests {
     }
 
     #[test]
+    fn io_dependency_metadata() {
+        let inst = one("add rax, [r14+rcx*8]");
+        let regs: Vec<Gpr> = input_gprs(&inst).iter().map(|g| g.reg).collect();
+        assert!(regs.contains(&Gpr::Rax)); // RMW reads dst
+        assert!(regs.contains(&Gpr::R14));
+        assert!(regs.contains(&Gpr::Rcx));
+        let outs = output_gprs(&inst);
+        assert_eq!(outs.len(), 1);
+        assert_eq!(outs[0].reg, Gpr::Rax);
+
+        let mov = one("mov rax, rbx");
+        assert!(!input_gprs(&mov).iter().any(|g| g.reg == Gpr::Rax));
+    }
+
+    #[test]
     fn data_and_address_reads_are_disjoint_and_cover_input_gprs() {
         for text in [
             "add rax, rbx",
