@@ -1041,4 +1041,23 @@ mod tests {
         );
         assert!(d.is_empty(), "{d:?}");
     }
+
+    #[test]
+    fn operand_shapes_without_an_encoding_warn_unencodable() {
+        // Widths no opcode-table row accepts: the asm path runs them, the
+        // §III-E byte path cannot carry them.
+        for body in [
+            "popcnt sil, rsi",
+            "xchg sil, rsi",
+            "setz qword ptr [r14]",
+            "add byte ptr [r14+8], 300",
+        ] {
+            let d = lint(body);
+            assert!(
+                d.iter()
+                    .any(|d| d.code == Code::Unencodable && d.severity == Severity::Warning),
+                "`{body}`: {d:?}"
+            );
+        }
+    }
 }

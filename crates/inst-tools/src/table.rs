@@ -434,6 +434,32 @@ mod tests {
     }
 
     #[test]
+    fn every_suite_string_has_pinned_code_bytes() {
+        // The e5 byte path encodes each variant's code and init assembly;
+        // the x86 crate's byte golden must pin every one of them.
+        let golden = include_str!("../../x86/tests/golden/codec_bytes.tsv");
+        let pinned: Vec<&str> = golden
+            .lines()
+            .filter_map(|l| l.split_once('\t').map(|(asm, _)| asm))
+            .collect();
+        for spec in benchmark_suite() {
+            let parts = [
+                spec.latency_asm.as_deref().unwrap_or(""),
+                &spec.latency_init,
+                &spec.throughput_asm,
+                &spec.throughput_init,
+            ];
+            for text in parts.into_iter().filter(|t| !t.trim().is_empty()) {
+                assert!(
+                    pinned.contains(&text),
+                    "{}: `{text}` has no pinned bytes",
+                    spec.name
+                );
+            }
+        }
+    }
+
+    #[test]
     fn rows_render_and_serialize() {
         let rows = vec![TableRow {
             name: "ADD (r64, r64)".to_string(),

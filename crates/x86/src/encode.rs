@@ -9,6 +9,30 @@
 //! move forms, fences, counter reads, the privileged instructions, and the
 //! SSE/AVX subset the simulator models).
 //!
+//! # One opcode table
+//!
+//! Every encodable form is one row of a single table: mnemonic, escape map,
+//! mandatory prefix, opcode, and an operand form that carries the ModRM
+//! `/ext` or `+r` register, the operand-width rule and the immediate size.
+//! The encoder and the decoder both dispatch on the row's form, so each
+//! opcode is written once and `decode(encode(p)) == p` holds by
+//! construction.
+//!
+//! * **Encoding** takes the first row of the mnemonic whose form accepts
+//!   the operands — their kinds, their widths and the immediate's range —
+//!   so row order fixes the canonical bytes (`83 /0 ib` before `81 /0 id`,
+//!   `8B /r` before `89 /r` for a register move, rel32 before rel8). A
+//!   shape no row accepts is an [`EncodeError`], never other bytes.
+//! * **Decoding** looks a row up by a unique key: VEX or legacy, map,
+//!   opcode (`+r` rows match its top five bits), mandatory prefix, a pinned
+//!   VEX.W/L, and the ModRM `/ext`, register-or-memory bit or fixed byte
+//!   where the form has them. For GPR rows `66` is the operand-size prefix,
+//!   and a row whose mandatory prefix is present beats the prefix-less row
+//!   of the same key (`F3 0F BC` is `tzcnt`, `0F BC` is `bsf`). The
+//!   non-canonical encodings the encoder never emits stay decodable: `81`
+//!   with an imm8 value, `89 /r` between registers, `C1 /n 1`, `B8+r` below
+//!   qword, and the rel8 branches.
+//!
 //! # Vector encoding support matrix
 //!
 //! | Form | Encoding | Status |
@@ -253,41 +277,19 @@ fn rm_of(op: &Operand) -> Option<(Rm, Width)> {
     }
 }
 
-fn needs_rex_for_byte(g: &GprPart) -> bool {
-    g.width == Width::B && (4..8).contains(&g.reg.number())
-}
-
-/// ALU group index for the 0x80-family opcodes.
-fn alu_index(m: Mnemonic) -> Option<u8> {
-    Some(match m {
-        Mnemonic::Add => 0,
-        Mnemonic::Or => 1,
-        Mnemonic::Adc => 2,
-        Mnemonic::Sbb => 3,
-        Mnemonic::And => 4,
-        Mnemonic::Sub => 5,
-        Mnemonic::Xor => 6,
-        Mnemonic::Cmp => 7,
-        _ => return None,
-    })
-}
-
-fn shift_ext(m: Mnemonic) -> Option<u8> {
-    Some(match m {
-        Mnemonic::Rol => 0,
-        Mnemonic::Ror => 1,
-        Mnemonic::Shl => 4,
-        Mnemonic::Shr => 5,
-        Mnemonic::Sar => 7,
-        _ => return None,
-    })
+/// `spl`/`bpl`/`sil`/`dil` need a REX prefix; without one the same register
+/// numbers name `ah`/`ch`/`dh`/`bh`.
+fn needs_rex_for_byte(op: &Operand) -> bool {
+    matches!(op, Operand::Gpr(g) if g.width == Width::B && (4..8).contains(&g.reg.number()))
 }
 
 // ---------------------------------------------------------------------------
-// SSE/AVX: one table drives both the encoder and the decoder (§III-E)
+// The opcode table: one row per encodable form drives both the encoder and
+// the decoder (§III-E)
 // ---------------------------------------------------------------------------
 
-/// Escape-map numbers, identical to the VEX `mmmmm` field values.
+/// Escape-map numbers: the one-byte map, then the VEX `mmmmm` field values.
+const MAP_NONE: u8 = 0;
 const MAP_0F: u8 = 1;
 const MAP_0F38: u8 = 2;
 const MAP_0F3A: u8 = 3;
@@ -298,18 +300,143 @@ const PP_66: u8 = 1;
 const PP_F3: u8 = 2;
 const PP_F2: u8 = 3;
 
-/// Operand pattern of a vector-op table entry.
+/// Operand-width rule of a GPR row. Word and qword operands are signalled
+/// by `66` and REX.W, except in [`Wr::Q`] rows, which are 64-bit by default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum VForm {
+enum Wr {
+    /// Byte operands (the even opcode of a byte/full pair).
+    B,
+    /// 16-, 32- or 64-bit operands.
+    Wdq,
+    /// 32- or 64-bit operands.
+    Dq,
+    /// 64-bit operands without REX.W (`push`, `mov cr3`).
+    Q,
+}
+
+impl Wr {
+    fn allows(self, w: Width) -> bool {
+        match self {
+            Wr::B => w == Width::B,
+            Wr::Wdq => w != Width::B,
+            Wr::Dq => matches!(w, Width::D | Width::Q),
+            Wr::Q => w == Width::Q,
+        }
+    }
+
+    /// The operand width a decoded instruction has, given the width the
+    /// `66`/REX.W prefixes select.
+    fn decoded(self, opsize: Width) -> Width {
+        match self {
+            Wr::B => Width::B,
+            Wr::Wdq => opsize,
+            Wr::Dq if opsize == Width::Q => Width::Q,
+            Wr::Dq => Width::D,
+            Wr::Q => Width::Q,
+        }
+    }
+}
+
+/// Immediate-operand size of a GPR row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Imm {
+    /// Sign-extended imm8 (`83 /n ib`).
+    S8,
+    /// Operand-sized but at most imm32, sign-extended (`ib`/`iw`/`id`).
+    Z,
+    /// Operand-sized up to imm64 (`B8+r io`).
+    V,
+    /// Unsigned imm8 shift count.
+    U8,
+    /// The implicit count 1 of `D0`/`D1`: no immediate bytes.
+    One,
+}
+
+impl Imm {
+    fn len(self, w: Width) -> usize {
+        match self {
+            Imm::S8 | Imm::U8 => 1,
+            Imm::Z => usize::from(w.bytes()).min(4),
+            Imm::V => usize::from(w.bytes()),
+            Imm::One => 0,
+        }
+    }
+
+    /// The immediate's little-endian bytes, or `None` if `v` does not fit.
+    fn encode(self, v: i64, w: Width) -> Option<Vec<u8>> {
+        let n = self.len(w);
+        let fits = match self {
+            Imm::U8 => (0..=0xFF).contains(&v),
+            Imm::One => v == 1,
+            _ => fits_signed(v, n),
+        };
+        fits.then(|| v.to_le_bytes()[..n].to_vec())
+    }
+
+    fn decode(self, d: &mut Decoder, w: Width) -> Result<i64, DecodeError> {
+        match self {
+            Imm::U8 => d.u8().map(i64::from),
+            Imm::One => Ok(1),
+            _ => d.int(self.len(w)),
+        }
+    }
+}
+
+/// Whether `v` survives truncation to `n` bytes and sign extension.
+fn fits_signed(v: i64, n: usize) -> bool {
+    let shift = 64 - 8 * n as u32;
+    (v << shift) >> shift == v
+}
+
+/// Source operand of a [`Form::GRm`] row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Src {
+    /// A register or memory operand of the destination's width.
+    Same,
+    /// A register or memory operand of this width (`movzx`/`movsx`).
+    Narrow(Width),
+    /// A memory operand used only as an address (`lea`); it carries the
+    /// assembler's unsized default, qword.
+    Addr,
+}
+
+/// Operand form of a table row. The GPR forms follow the SDM's operand
+/// encodings (`RM`, `MR`, `M`, `O`, `D`, `ZO`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Form {
+    // -- GPR and system forms ------------------------------------------------
+    /// No operands; the bool is the required VEX.L (`vzeroupper`/`vzeroall`).
+    Bare(bool),
+    /// No operands; the opcode is followed by this fixed ModRM byte
+    /// (`lfence` is `0F AE E8`).
+    Fixed(u8),
+    /// `reg <- r/m` (`RM`).
+    GRm(Wr, Src),
+    /// `r/m <- reg` (`MR`), both of one width.
+    GMr(Wr),
+    /// `r/m` with opcode extension `/ext`, optionally with an immediate
+    /// (`M`, `MI`).
+    GM(Wr, u8, Option<Imm>),
+    /// A register-only `/ext` form (`rdrand`, `mov cr3`).
+    GReg(Wr, u8),
+    /// A memory-only `/ext` form taking an address (`clflush`, `prefetch*`).
+    Mem(u8),
+    /// Register in the opcode's low three bits, optionally with an
+    /// immediate (`O`, `OI`).
+    O(Wr, Option<Imm>),
+    /// Branch to a label with a signed displacement of this many bytes
+    /// (`D`).
+    Rel(usize),
+    // -- vector forms --------------------------------------------------------
     /// `dst(vec) <- r/m(vec|mem)`; VEX.L from the destination class.
     Rm,
-    /// [`VForm::Rm`] plus a trailing imm8.
+    /// [`Form::Rm`] plus a trailing imm8.
     RmImm,
     /// Store direction: `r/m(vec|mem) <- reg(vec)`.
     Mr,
     /// VEX three-operand: `dst(reg) <- src1(vvvv), src2(r/m)`.
     Rvm,
-    /// [`VForm::Rvm`] plus a trailing imm8 (`vperm2f128`, L1 only).
+    /// [`Form::Rvm`] plus a trailing imm8 (`vperm2f128`, L1 only).
     RvmImm,
     /// `dst(vec, reg field) <- r/m(gpr|mem)`; REX/VEX.W per GPR width.
     VecRm,
@@ -317,9 +444,7 @@ enum VForm {
     RmVec,
     /// `dst(gpr, reg field) <- r/m(vec|mem)` (`pmovmskb`, `cvtsd2si`).
     GprVec,
-    /// `dst(gpr, reg field) <- r/m(gpr|mem)` (`crc32`).
-    GprRm,
-    /// Shift-by-immediate group: vec in r/m, opcode extension in reg field.
+    /// Shift-by-immediate group: vec register in r/m, extension in reg field.
     ShiftImm(u8),
     /// `vbroadcastss`: destination class from L, source is xmm or memory.
     BcastRm,
@@ -327,25 +452,67 @@ enum VForm {
     InsertImm,
     /// `vextractf128 xmm/m128, ymm, imm8` (L1 only).
     ExtractImm,
-    /// No operands; the bool is the required VEX.L (`vzeroupper`/`vzeroall`).
-    Bare(bool),
 }
 
-/// One encodable vector-instruction form. `w: Some(_)` pins REX/VEX.W (it
+impl Form {
+    /// Vector forms select on the exact mandatory prefix; GPR forms read
+    /// `66` as the operand size and ignore prefixes they do not require.
+    fn is_vector(self) -> bool {
+        !matches!(
+            self,
+            Form::Bare(_)
+                | Form::Fixed(_)
+                | Form::GRm(..)
+                | Form::GMr(_)
+                | Form::GM(..)
+                | Form::GReg(..)
+                | Form::Mem(_)
+                | Form::O(..)
+                | Form::Rel(_)
+        )
+    }
+
+    /// Whether the ModRM byte `b` fits this form's `/ext`, register-or-memory
+    /// requirement or fixed value.
+    fn accepts_modrm(self, b: u8) -> bool {
+        let (ext, is_reg) = ((b >> 3) & 7, b >> 6 == 3);
+        match self {
+            Form::Fixed(x) => b == x,
+            Form::GM(_, e, _) => ext == e,
+            Form::GReg(_, e) | Form::ShiftImm(e) => ext == e && is_reg,
+            Form::Mem(e) => ext == e && !is_reg,
+            Form::GRm(_, Src::Addr) => !is_reg,
+            _ => true,
+        }
+    }
+}
+
+/// One encodable instruction form. `w: Some(_)` pins REX/VEX.W (it
 /// disambiguates `movd`/`movq` and the FMA ps/pd pairs); `None` derives W
-/// from the GPR operand where one exists and encodes W0 otherwise.
-struct VecOp {
+/// from the operands.
+struct Op {
     m: Mnemonic,
     vex: bool,
     map: u8,
     pp: u8,
     op: u8,
     w: Option<bool>,
-    form: VForm,
+    form: Form,
 }
 
-const fn sse(m: Mnemonic, map: u8, pp: u8, op: u8, form: VForm) -> VecOp {
-    VecOp {
+/// A one-byte-map opcode without a mandatory prefix.
+const fn one(m: Mnemonic, op: u8, form: Form) -> Op {
+    sse(m, MAP_NONE, PP_NONE, op, form)
+}
+
+/// A `0F`-map opcode without a mandatory prefix.
+const fn two(m: Mnemonic, op: u8, form: Form) -> Op {
+    sse(m, MAP_0F, PP_NONE, op, form)
+}
+
+/// A legacy (non-VEX) opcode in any map, with a mandatory prefix.
+const fn sse(m: Mnemonic, map: u8, pp: u8, op: u8, form: Form) -> Op {
+    Op {
         m,
         vex: false,
         map,
@@ -356,156 +523,333 @@ const fn sse(m: Mnemonic, map: u8, pp: u8, op: u8, form: VForm) -> VecOp {
     }
 }
 
-const fn ssew(m: Mnemonic, map: u8, pp: u8, op: u8, w: bool, form: VForm) -> VecOp {
-    VecOp {
+const fn ssew(m: Mnemonic, map: u8, pp: u8, op: u8, w: bool, form: Form) -> Op {
+    Op {
         w: Some(w),
         ..sse(m, map, pp, op, form)
     }
 }
 
-const fn vex(m: Mnemonic, map: u8, pp: u8, op: u8, form: VForm) -> VecOp {
-    VecOp {
+const fn vex(m: Mnemonic, map: u8, pp: u8, op: u8, form: Form) -> Op {
+    Op {
         vex: true,
         ..sse(m, map, pp, op, form)
     }
 }
 
-const fn vexw(m: Mnemonic, map: u8, pp: u8, op: u8, w: bool, form: VForm) -> VecOp {
-    VecOp {
+const fn vexw(m: Mnemonic, map: u8, pp: u8, op: u8, w: bool, form: Form) -> Op {
+    Op {
         w: Some(w),
         ..vex(m, map, pp, op, form)
     }
 }
 
-/// The vector-instruction encoding table. Entry order matters for the
-/// *encoder* only: the first entry whose form matches the operand shapes is
-/// the canonical encoding (e.g. `movq xmm, m64` prefers `F3 0F 7E`). For the
-/// decoder the key `(vex, map, pp, opcode, W, L)` is unique.
+/// The opcode table (see the module docs for the encoder's first-match
+/// rule and the decoder's key).
 #[rustfmt::skip]
-const VEC_OPS: &[VecOp] = &[
+const OPS: &[Op] = {
+    use Form::*;
+    use Imm::*;
+    use Mnemonic::*;
+    use Src::*;
+    use Wr::*;
+    &[
+    // -- data movement -------------------------------------------------------
+    one(Mov, 0x8A, GRm(B, Same)),
+    one(Mov, 0x8B, GRm(Wdq, Same)),
+    one(Mov, 0x88, GMr(B)),
+    one(Mov, 0x89, GMr(Wdq)),
+    one(Mov, 0xC6, GM(B, 0, Some(Z))),
+    one(Mov, 0xC7, GM(Wdq, 0, Some(Z))),
+    one(Mov, 0xB8, O(Wdq, Some(V))), // movabs; below qword C7 wins
+    two(Movzx, 0xB6, GRm(Wdq, Narrow(Width::B))),
+    two(Movzx, 0xB7, GRm(Wdq, Narrow(Width::W))),
+    two(Movsx, 0xBE, GRm(Wdq, Narrow(Width::B))),
+    two(Movsx, 0xBF, GRm(Wdq, Narrow(Width::W))),
+    one(Lea, 0x8D, GRm(Wdq, Addr)),
+    one(Xchg, 0x86, GMr(B)),
+    one(Xchg, 0x87, GMr(Wdq)),
+    two(Xadd, 0xC0, GMr(B)),
+    two(Xadd, 0xC1, GMr(Wdq)),
+    one(Push, 0x50, O(Q, None)),
+    one(Pop, 0x58, O(Q, None)),
+    two(Bswap, 0xC8, O(Wdq, None)),
+    two(Cmovz, 0x44, GRm(Wdq, Same)),
+    two(Cmovnz, 0x45, GRm(Wdq, Same)),
+    two(Setz, 0x94, GM(B, 0, None)),
+    two(Setnz, 0x95, GM(B, 0, None)),
+    // -- integer ALU: RM, MR, then MI with the sign-extended imm8 first -------
+    one(Add, 0x02, GRm(B, Same)),
+    one(Add, 0x03, GRm(Wdq, Same)),
+    one(Add, 0x00, GMr(B)),
+    one(Add, 0x01, GMr(Wdq)),
+    one(Add, 0x80, GM(B, 0, Some(Z))),
+    one(Add, 0x83, GM(Wdq, 0, Some(S8))),
+    one(Add, 0x81, GM(Wdq, 0, Some(Z))),
+    one(Or, 0x0A, GRm(B, Same)),
+    one(Or, 0x0B, GRm(Wdq, Same)),
+    one(Or, 0x08, GMr(B)),
+    one(Or, 0x09, GMr(Wdq)),
+    one(Or, 0x80, GM(B, 1, Some(Z))),
+    one(Or, 0x83, GM(Wdq, 1, Some(S8))),
+    one(Or, 0x81, GM(Wdq, 1, Some(Z))),
+    one(Adc, 0x12, GRm(B, Same)),
+    one(Adc, 0x13, GRm(Wdq, Same)),
+    one(Adc, 0x10, GMr(B)),
+    one(Adc, 0x11, GMr(Wdq)),
+    one(Adc, 0x80, GM(B, 2, Some(Z))),
+    one(Adc, 0x83, GM(Wdq, 2, Some(S8))),
+    one(Adc, 0x81, GM(Wdq, 2, Some(Z))),
+    one(Sbb, 0x1A, GRm(B, Same)),
+    one(Sbb, 0x1B, GRm(Wdq, Same)),
+    one(Sbb, 0x18, GMr(B)),
+    one(Sbb, 0x19, GMr(Wdq)),
+    one(Sbb, 0x80, GM(B, 3, Some(Z))),
+    one(Sbb, 0x83, GM(Wdq, 3, Some(S8))),
+    one(Sbb, 0x81, GM(Wdq, 3, Some(Z))),
+    one(And, 0x22, GRm(B, Same)),
+    one(And, 0x23, GRm(Wdq, Same)),
+    one(And, 0x20, GMr(B)),
+    one(And, 0x21, GMr(Wdq)),
+    one(And, 0x80, GM(B, 4, Some(Z))),
+    one(And, 0x83, GM(Wdq, 4, Some(S8))),
+    one(And, 0x81, GM(Wdq, 4, Some(Z))),
+    one(Sub, 0x2A, GRm(B, Same)),
+    one(Sub, 0x2B, GRm(Wdq, Same)),
+    one(Sub, 0x28, GMr(B)),
+    one(Sub, 0x29, GMr(Wdq)),
+    one(Sub, 0x80, GM(B, 5, Some(Z))),
+    one(Sub, 0x83, GM(Wdq, 5, Some(S8))),
+    one(Sub, 0x81, GM(Wdq, 5, Some(Z))),
+    one(Xor, 0x32, GRm(B, Same)),
+    one(Xor, 0x33, GRm(Wdq, Same)),
+    one(Xor, 0x30, GMr(B)),
+    one(Xor, 0x31, GMr(Wdq)),
+    one(Xor, 0x80, GM(B, 6, Some(Z))),
+    one(Xor, 0x83, GM(Wdq, 6, Some(S8))),
+    one(Xor, 0x81, GM(Wdq, 6, Some(Z))),
+    one(Cmp, 0x3A, GRm(B, Same)),
+    one(Cmp, 0x3B, GRm(Wdq, Same)),
+    one(Cmp, 0x38, GMr(B)),
+    one(Cmp, 0x39, GMr(Wdq)),
+    one(Cmp, 0x80, GM(B, 7, Some(Z))),
+    one(Cmp, 0x83, GM(Wdq, 7, Some(S8))),
+    one(Cmp, 0x81, GM(Wdq, 7, Some(Z))),
+    one(Test, 0x84, GMr(B)),
+    one(Test, 0x85, GMr(Wdq)),
+    one(Test, 0xF6, GM(B, 0, Some(Z))),
+    one(Test, 0xF7, GM(Wdq, 0, Some(Z))),
+    one(Inc, 0xFE, GM(B, 0, None)),
+    one(Inc, 0xFF, GM(Wdq, 0, None)),
+    one(Dec, 0xFE, GM(B, 1, None)),
+    one(Dec, 0xFF, GM(Wdq, 1, None)),
+    one(Not, 0xF6, GM(B, 2, None)),
+    one(Not, 0xF7, GM(Wdq, 2, None)),
+    one(Neg, 0xF6, GM(B, 3, None)),
+    one(Neg, 0xF7, GM(Wdq, 3, None)),
+    one(Mul, 0xF6, GM(B, 4, None)),
+    one(Mul, 0xF7, GM(Wdq, 4, None)),
+    one(Imul, 0xF6, GM(B, 5, None)),
+    one(Imul, 0xF7, GM(Wdq, 5, None)),
+    two(Imul, 0xAF, GRm(Wdq, Same)),
+    one(Div, 0xF6, GM(B, 6, None)),
+    one(Div, 0xF7, GM(Wdq, 6, None)),
+    one(Idiv, 0xF6, GM(B, 7, None)),
+    one(Idiv, 0xF7, GM(Wdq, 7, None)),
+    // -- shifts and rotates: the implicit count 1 first ------------------------
+    one(Rol, 0xD0, GM(B, 0, Some(One))),
+    one(Rol, 0xD1, GM(Wdq, 0, Some(One))),
+    one(Rol, 0xC0, GM(B, 0, Some(U8))),
+    one(Rol, 0xC1, GM(Wdq, 0, Some(U8))),
+    one(Ror, 0xD0, GM(B, 1, Some(One))),
+    one(Ror, 0xD1, GM(Wdq, 1, Some(One))),
+    one(Ror, 0xC0, GM(B, 1, Some(U8))),
+    one(Ror, 0xC1, GM(Wdq, 1, Some(U8))),
+    one(Shl, 0xD0, GM(B, 4, Some(One))),
+    one(Shl, 0xD1, GM(Wdq, 4, Some(One))),
+    one(Shl, 0xC0, GM(B, 4, Some(U8))),
+    one(Shl, 0xC1, GM(Wdq, 4, Some(U8))),
+    one(Shr, 0xD0, GM(B, 5, Some(One))),
+    one(Shr, 0xD1, GM(Wdq, 5, Some(One))),
+    one(Shr, 0xC0, GM(B, 5, Some(U8))),
+    one(Shr, 0xC1, GM(Wdq, 5, Some(U8))),
+    one(Sar, 0xD0, GM(B, 7, Some(One))),
+    one(Sar, 0xD1, GM(Wdq, 7, Some(One))),
+    one(Sar, 0xC0, GM(B, 7, Some(U8))),
+    one(Sar, 0xC1, GM(Wdq, 7, Some(U8))),
+    // -- bit counting ----------------------------------------------------------
+    sse(Popcnt, MAP_0F, PP_F3, 0xB8, GRm(Wdq, Same)),
+    sse(Tzcnt, MAP_0F, PP_F3, 0xBC, GRm(Wdq, Same)),
+    sse(Lzcnt, MAP_0F, PP_F3, 0xBD, GRm(Wdq, Same)),
+    two(Bsf, 0xBC, GRm(Wdq, Same)),
+    two(Bsr, 0xBD, GRm(Wdq, Same)),
+    sse(Crc32, MAP_0F38, PP_F2, 0xF1, GRm(Dq, Same)),
+    // -- control flow: rel32 first, so the rel8 rows are decode-only ----------
+    one(Jmp, 0xE9, Rel(4)),
+    one(Jmp, 0xEB, Rel(1)),
+    one(Call, 0xE8, Rel(4)),
+    two(Jc, 0x82, Rel(4)),
+    one(Jc, 0x72, Rel(1)),
+    two(Jnc, 0x83, Rel(4)),
+    one(Jnc, 0x73, Rel(1)),
+    two(Jz, 0x84, Rel(4)),
+    one(Jz, 0x74, Rel(1)),
+    two(Jnz, 0x85, Rel(4)),
+    one(Jnz, 0x75, Rel(1)),
+    one(Ret, 0xC3, Bare(false)),
+    one(Nop, 0x90, Bare(false)),
+    sse(Pause, MAP_NONE, PP_F3, 0x90, Bare(false)),
+    // -- fences, serialization, counters ---------------------------------------
+    two(Lfence, 0xAE, Fixed(0xE8)),
+    two(Mfence, 0xAE, Fixed(0xF0)),
+    two(Sfence, 0xAE, Fixed(0xF8)),
+    two(Cpuid, 0xA2, Bare(false)),
+    two(Rdtsc, 0x31, Bare(false)),
+    two(Rdtscp, 0x01, Fixed(0xF9)),
+    two(Rdpmc, 0x33, Bare(false)),
+    // -- privileged (§III-D) ---------------------------------------------------
+    two(Rdmsr, 0x32, Bare(false)),
+    two(Wrmsr, 0x30, Bare(false)),
+    two(Wbinvd, 0x09, Bare(false)),
+    two(Invd, 0x08, Bare(false)),
+    two(Invlpg, 0x01, Mem(7)),
+    one(Cli, 0xFA, Bare(false)),
+    one(Sti, 0xFB, Bare(false)),
+    one(Hlt, 0xF4, Bare(false)),
+    two(Swapgs, 0x01, Fixed(0xF8)),
+    two(MovCr3, 0x22, GReg(Q, 3)),
+    // -- cache control and random numbers ----------------------------------------
+    two(Clflush, 0xAE, Mem(7)),
+    sse(Clflushopt, MAP_0F, PP_66, 0xAE, Mem(7)),
+    two(Prefetchnta, 0x18, Mem(0)),
+    two(Prefetcht0, 0x18, Mem(1)),
+    two(Prefetcht1, 0x18, Mem(2)),
+    two(Prefetcht2, 0x18, Mem(3)),
+    two(Rdrand, 0xC7, GReg(Wdq, 6)),
+    two(Rdseed, 0xC7, GReg(Wdq, 7)),
     // -- SSE moves (load and store opcodes) --------------------------------
-    sse(Mnemonic::Movaps, MAP_0F, PP_NONE, 0x28, VForm::Rm),
-    sse(Mnemonic::Movaps, MAP_0F, PP_NONE, 0x29, VForm::Mr),
-    sse(Mnemonic::Movups, MAP_0F, PP_NONE, 0x10, VForm::Rm),
-    sse(Mnemonic::Movups, MAP_0F, PP_NONE, 0x11, VForm::Mr),
-    sse(Mnemonic::Movapd, MAP_0F, PP_66, 0x28, VForm::Rm),
-    sse(Mnemonic::Movapd, MAP_0F, PP_66, 0x29, VForm::Mr),
-    sse(Mnemonic::Movdqa, MAP_0F, PP_66, 0x6F, VForm::Rm),
-    sse(Mnemonic::Movdqa, MAP_0F, PP_66, 0x7F, VForm::Mr),
-    sse(Mnemonic::Movdqu, MAP_0F, PP_F3, 0x6F, VForm::Rm),
-    sse(Mnemonic::Movdqu, MAP_0F, PP_F3, 0x7F, VForm::Mr),
-    sse(Mnemonic::Movq, MAP_0F, PP_F3, 0x7E, VForm::Rm), // xmm <- xmm/m64
-    ssew(Mnemonic::Movd, MAP_0F, PP_66, 0x6E, false, VForm::VecRm),
-    ssew(Mnemonic::Movd, MAP_0F, PP_66, 0x7E, false, VForm::RmVec),
-    ssew(Mnemonic::Movq, MAP_0F, PP_66, 0x6E, true, VForm::VecRm),
-    ssew(Mnemonic::Movq, MAP_0F, PP_66, 0x7E, true, VForm::RmVec),
+    sse(Movaps, MAP_0F, PP_NONE, 0x28, Rm),
+    sse(Movaps, MAP_0F, PP_NONE, 0x29, Mr),
+    sse(Movups, MAP_0F, PP_NONE, 0x10, Rm),
+    sse(Movups, MAP_0F, PP_NONE, 0x11, Mr),
+    sse(Movapd, MAP_0F, PP_66, 0x28, Rm),
+    sse(Movapd, MAP_0F, PP_66, 0x29, Mr),
+    sse(Movdqa, MAP_0F, PP_66, 0x6F, Rm),
+    sse(Movdqa, MAP_0F, PP_66, 0x7F, Mr),
+    sse(Movdqu, MAP_0F, PP_F3, 0x6F, Rm),
+    sse(Movdqu, MAP_0F, PP_F3, 0x7F, Mr),
+    sse(Movq, MAP_0F, PP_F3, 0x7E, Rm), // xmm <- xmm/m64
+    ssew(Movd, MAP_0F, PP_66, 0x6E, false, VecRm),
+    ssew(Movd, MAP_0F, PP_66, 0x7E, false, RmVec),
+    ssew(Movq, MAP_0F, PP_66, 0x6E, true, VecRm),
+    ssew(Movq, MAP_0F, PP_66, 0x7E, true, RmVec),
     // -- SSE packed/scalar float -------------------------------------------
-    sse(Mnemonic::Addps, MAP_0F, PP_NONE, 0x58, VForm::Rm),
-    sse(Mnemonic::Addpd, MAP_0F, PP_66, 0x58, VForm::Rm),
-    sse(Mnemonic::Addss, MAP_0F, PP_F3, 0x58, VForm::Rm),
-    sse(Mnemonic::Addsd, MAP_0F, PP_F2, 0x58, VForm::Rm),
-    sse(Mnemonic::Subps, MAP_0F, PP_NONE, 0x5C, VForm::Rm),
-    sse(Mnemonic::Subpd, MAP_0F, PP_66, 0x5C, VForm::Rm),
-    sse(Mnemonic::Subss, MAP_0F, PP_F3, 0x5C, VForm::Rm),
-    sse(Mnemonic::Subsd, MAP_0F, PP_F2, 0x5C, VForm::Rm),
-    sse(Mnemonic::Mulps, MAP_0F, PP_NONE, 0x59, VForm::Rm),
-    sse(Mnemonic::Mulpd, MAP_0F, PP_66, 0x59, VForm::Rm),
-    sse(Mnemonic::Mulss, MAP_0F, PP_F3, 0x59, VForm::Rm),
-    sse(Mnemonic::Mulsd, MAP_0F, PP_F2, 0x59, VForm::Rm),
-    sse(Mnemonic::Divps, MAP_0F, PP_NONE, 0x5E, VForm::Rm),
-    sse(Mnemonic::Divpd, MAP_0F, PP_66, 0x5E, VForm::Rm),
-    sse(Mnemonic::Divss, MAP_0F, PP_F3, 0x5E, VForm::Rm),
-    sse(Mnemonic::Divsd, MAP_0F, PP_F2, 0x5E, VForm::Rm),
-    sse(Mnemonic::Sqrtps, MAP_0F, PP_NONE, 0x51, VForm::Rm),
-    sse(Mnemonic::Sqrtpd, MAP_0F, PP_66, 0x51, VForm::Rm),
-    sse(Mnemonic::Sqrtss, MAP_0F, PP_F3, 0x51, VForm::Rm),
-    sse(Mnemonic::Sqrtsd, MAP_0F, PP_F2, 0x51, VForm::Rm),
-    sse(Mnemonic::Maxps, MAP_0F, PP_NONE, 0x5F, VForm::Rm),
-    sse(Mnemonic::Minps, MAP_0F, PP_NONE, 0x5D, VForm::Rm),
-    sse(Mnemonic::Andps, MAP_0F, PP_NONE, 0x54, VForm::Rm),
-    sse(Mnemonic::Orps, MAP_0F, PP_NONE, 0x56, VForm::Rm),
-    sse(Mnemonic::Xorps, MAP_0F, PP_NONE, 0x57, VForm::Rm),
-    sse(Mnemonic::Comiss, MAP_0F, PP_NONE, 0x2F, VForm::Rm),
-    sse(Mnemonic::Comisd, MAP_0F, PP_66, 0x2F, VForm::Rm),
-    sse(Mnemonic::Cvtss2sd, MAP_0F, PP_F3, 0x5A, VForm::Rm),
-    sse(Mnemonic::Cvtsd2ss, MAP_0F, PP_F2, 0x5A, VForm::Rm),
-    sse(Mnemonic::Cvtsi2sd, MAP_0F, PP_F2, 0x2A, VForm::VecRm),
-    sse(Mnemonic::Cvtsd2si, MAP_0F, PP_F2, 0x2D, VForm::GprVec),
-    sse(Mnemonic::Haddps, MAP_0F, PP_F2, 0x7C, VForm::Rm),
-    sse(Mnemonic::Shufps, MAP_0F, PP_NONE, 0xC6, VForm::RmImm),
-    sse(Mnemonic::Pshufd, MAP_0F, PP_66, 0x70, VForm::RmImm),
-    sse(Mnemonic::Roundps, MAP_0F3A, PP_66, 0x08, VForm::RmImm),
-    sse(Mnemonic::Blendps, MAP_0F3A, PP_66, 0x0C, VForm::RmImm),
-    sse(Mnemonic::Dpps, MAP_0F3A, PP_66, 0x40, VForm::RmImm),
-    sse(Mnemonic::Pclmulqdq, MAP_0F3A, PP_66, 0x44, VForm::RmImm),
+    sse(Addps, MAP_0F, PP_NONE, 0x58, Rm),
+    sse(Addpd, MAP_0F, PP_66, 0x58, Rm),
+    sse(Addss, MAP_0F, PP_F3, 0x58, Rm),
+    sse(Addsd, MAP_0F, PP_F2, 0x58, Rm),
+    sse(Subps, MAP_0F, PP_NONE, 0x5C, Rm),
+    sse(Subpd, MAP_0F, PP_66, 0x5C, Rm),
+    sse(Subss, MAP_0F, PP_F3, 0x5C, Rm),
+    sse(Subsd, MAP_0F, PP_F2, 0x5C, Rm),
+    sse(Mulps, MAP_0F, PP_NONE, 0x59, Rm),
+    sse(Mulpd, MAP_0F, PP_66, 0x59, Rm),
+    sse(Mulss, MAP_0F, PP_F3, 0x59, Rm),
+    sse(Mulsd, MAP_0F, PP_F2, 0x59, Rm),
+    sse(Divps, MAP_0F, PP_NONE, 0x5E, Rm),
+    sse(Divpd, MAP_0F, PP_66, 0x5E, Rm),
+    sse(Divss, MAP_0F, PP_F3, 0x5E, Rm),
+    sse(Divsd, MAP_0F, PP_F2, 0x5E, Rm),
+    sse(Sqrtps, MAP_0F, PP_NONE, 0x51, Rm),
+    sse(Sqrtpd, MAP_0F, PP_66, 0x51, Rm),
+    sse(Sqrtss, MAP_0F, PP_F3, 0x51, Rm),
+    sse(Sqrtsd, MAP_0F, PP_F2, 0x51, Rm),
+    sse(Maxps, MAP_0F, PP_NONE, 0x5F, Rm),
+    sse(Minps, MAP_0F, PP_NONE, 0x5D, Rm),
+    sse(Andps, MAP_0F, PP_NONE, 0x54, Rm),
+    sse(Orps, MAP_0F, PP_NONE, 0x56, Rm),
+    sse(Xorps, MAP_0F, PP_NONE, 0x57, Rm),
+    sse(Comiss, MAP_0F, PP_NONE, 0x2F, Rm),
+    sse(Comisd, MAP_0F, PP_66, 0x2F, Rm),
+    sse(Cvtss2sd, MAP_0F, PP_F3, 0x5A, Rm),
+    sse(Cvtsd2ss, MAP_0F, PP_F2, 0x5A, Rm),
+    sse(Cvtsi2sd, MAP_0F, PP_F2, 0x2A, VecRm),
+    sse(Cvtsd2si, MAP_0F, PP_F2, 0x2D, GprVec),
+    sse(Haddps, MAP_0F, PP_F2, 0x7C, Rm),
+    sse(Shufps, MAP_0F, PP_NONE, 0xC6, RmImm),
+    sse(Pshufd, MAP_0F, PP_66, 0x70, RmImm),
+    sse(Roundps, MAP_0F3A, PP_66, 0x08, RmImm),
+    sse(Blendps, MAP_0F3A, PP_66, 0x0C, RmImm),
+    sse(Dpps, MAP_0F3A, PP_66, 0x40, RmImm),
+    sse(Pclmulqdq, MAP_0F3A, PP_66, 0x44, RmImm),
     // -- SSE packed integer ------------------------------------------------
-    sse(Mnemonic::Paddb, MAP_0F, PP_66, 0xFC, VForm::Rm),
-    sse(Mnemonic::Paddw, MAP_0F, PP_66, 0xFD, VForm::Rm),
-    sse(Mnemonic::Paddd, MAP_0F, PP_66, 0xFE, VForm::Rm),
-    sse(Mnemonic::Paddq, MAP_0F, PP_66, 0xD4, VForm::Rm),
-    sse(Mnemonic::Psubb, MAP_0F, PP_66, 0xF8, VForm::Rm),
-    sse(Mnemonic::Psubd, MAP_0F, PP_66, 0xFA, VForm::Rm),
-    sse(Mnemonic::Psubq, MAP_0F, PP_66, 0xFB, VForm::Rm),
-    sse(Mnemonic::Pmullw, MAP_0F, PP_66, 0xD5, VForm::Rm),
-    sse(Mnemonic::Pmuludq, MAP_0F, PP_66, 0xF4, VForm::Rm),
-    sse(Mnemonic::Pmaddwd, MAP_0F, PP_66, 0xF5, VForm::Rm),
-    sse(Mnemonic::Pand, MAP_0F, PP_66, 0xDB, VForm::Rm),
-    sse(Mnemonic::Por, MAP_0F, PP_66, 0xEB, VForm::Rm),
-    sse(Mnemonic::Pxor, MAP_0F, PP_66, 0xEF, VForm::Rm),
-    sse(Mnemonic::Pcmpeqb, MAP_0F, PP_66, 0x74, VForm::Rm),
-    sse(Mnemonic::Pcmpeqd, MAP_0F, PP_66, 0x76, VForm::Rm),
-    sse(Mnemonic::Pcmpgtd, MAP_0F, PP_66, 0x66, VForm::Rm),
-    sse(Mnemonic::Psllw, MAP_0F, PP_66, 0xF1, VForm::Rm),
-    sse(Mnemonic::Pslld, MAP_0F, PP_66, 0xF2, VForm::Rm),
-    sse(Mnemonic::Psllq, MAP_0F, PP_66, 0xF3, VForm::Rm),
-    sse(Mnemonic::Psllw, MAP_0F, PP_66, 0x71, VForm::ShiftImm(6)),
-    sse(Mnemonic::Pslld, MAP_0F, PP_66, 0x72, VForm::ShiftImm(6)),
-    sse(Mnemonic::Psllq, MAP_0F, PP_66, 0x73, VForm::ShiftImm(6)),
-    sse(Mnemonic::Punpcklbw, MAP_0F, PP_66, 0x60, VForm::Rm),
-    sse(Mnemonic::Punpckldq, MAP_0F, PP_66, 0x62, VForm::Rm),
-    sse(Mnemonic::Packsswb, MAP_0F, PP_66, 0x63, VForm::Rm),
-    sse(Mnemonic::Pmovmskb, MAP_0F, PP_66, 0xD7, VForm::GprVec),
-    sse(Mnemonic::Psadbw, MAP_0F, PP_66, 0xF6, VForm::Rm),
-    sse(Mnemonic::Pshufb, MAP_0F38, PP_66, 0x00, VForm::Rm),
-    sse(Mnemonic::Phaddd, MAP_0F38, PP_66, 0x02, VForm::Rm),
-    sse(Mnemonic::Ptest, MAP_0F38, PP_66, 0x17, VForm::Rm),
-    sse(Mnemonic::Pabsd, MAP_0F38, PP_66, 0x1E, VForm::Rm),
-    sse(Mnemonic::Pminsd, MAP_0F38, PP_66, 0x39, VForm::Rm),
-    sse(Mnemonic::Pmaxsd, MAP_0F38, PP_66, 0x3D, VForm::Rm),
-    sse(Mnemonic::Pmulld, MAP_0F38, PP_66, 0x40, VForm::Rm),
+    sse(Paddb, MAP_0F, PP_66, 0xFC, Rm),
+    sse(Paddw, MAP_0F, PP_66, 0xFD, Rm),
+    sse(Paddd, MAP_0F, PP_66, 0xFE, Rm),
+    sse(Paddq, MAP_0F, PP_66, 0xD4, Rm),
+    sse(Psubb, MAP_0F, PP_66, 0xF8, Rm),
+    sse(Psubd, MAP_0F, PP_66, 0xFA, Rm),
+    sse(Psubq, MAP_0F, PP_66, 0xFB, Rm),
+    sse(Pmullw, MAP_0F, PP_66, 0xD5, Rm),
+    sse(Pmuludq, MAP_0F, PP_66, 0xF4, Rm),
+    sse(Pmaddwd, MAP_0F, PP_66, 0xF5, Rm),
+    sse(Pand, MAP_0F, PP_66, 0xDB, Rm),
+    sse(Por, MAP_0F, PP_66, 0xEB, Rm),
+    sse(Pxor, MAP_0F, PP_66, 0xEF, Rm),
+    sse(Pcmpeqb, MAP_0F, PP_66, 0x74, Rm),
+    sse(Pcmpeqd, MAP_0F, PP_66, 0x76, Rm),
+    sse(Pcmpgtd, MAP_0F, PP_66, 0x66, Rm),
+    sse(Psllw, MAP_0F, PP_66, 0xF1, Rm),
+    sse(Pslld, MAP_0F, PP_66, 0xF2, Rm),
+    sse(Psllq, MAP_0F, PP_66, 0xF3, Rm),
+    sse(Psllw, MAP_0F, PP_66, 0x71, ShiftImm(6)),
+    sse(Pslld, MAP_0F, PP_66, 0x72, ShiftImm(6)),
+    sse(Psllq, MAP_0F, PP_66, 0x73, ShiftImm(6)),
+    sse(Punpcklbw, MAP_0F, PP_66, 0x60, Rm),
+    sse(Punpckldq, MAP_0F, PP_66, 0x62, Rm),
+    sse(Packsswb, MAP_0F, PP_66, 0x63, Rm),
+    sse(Pmovmskb, MAP_0F, PP_66, 0xD7, GprVec),
+    sse(Psadbw, MAP_0F, PP_66, 0xF6, Rm),
+    sse(Pshufb, MAP_0F38, PP_66, 0x00, Rm),
+    sse(Phaddd, MAP_0F38, PP_66, 0x02, Rm),
+    sse(Ptest, MAP_0F38, PP_66, 0x17, Rm),
+    sse(Pabsd, MAP_0F38, PP_66, 0x1E, Rm),
+    sse(Pminsd, MAP_0F38, PP_66, 0x39, Rm),
+    sse(Pmaxsd, MAP_0F38, PP_66, 0x3D, Rm),
+    sse(Pmulld, MAP_0F38, PP_66, 0x40, Rm),
     // -- crypto / misc -----------------------------------------------------
-    sse(Mnemonic::Aesenc, MAP_0F38, PP_66, 0xDC, VForm::Rm),
-    sse(Mnemonic::Aesenclast, MAP_0F38, PP_66, 0xDD, VForm::Rm),
-    sse(Mnemonic::Aesdec, MAP_0F38, PP_66, 0xDE, VForm::Rm),
-    sse(Mnemonic::Sha256rnds2, MAP_0F38, PP_NONE, 0xCB, VForm::Rm),
-    sse(Mnemonic::Crc32, MAP_0F38, PP_F2, 0xF1, VForm::GprRm),
+    sse(Aesenc, MAP_0F38, PP_66, 0xDC, Rm),
+    sse(Aesenclast, MAP_0F38, PP_66, 0xDD, Rm),
+    sse(Aesdec, MAP_0F38, PP_66, 0xDE, Rm),
+    sse(Sha256rnds2, MAP_0F38, PP_NONE, 0xCB, Rm),
     // -- AVX (VEX-coded) ---------------------------------------------------
-    vex(Mnemonic::Vaddps, MAP_0F, PP_NONE, 0x58, VForm::Rvm),
-    vex(Mnemonic::Vaddpd, MAP_0F, PP_66, 0x58, VForm::Rvm),
-    vex(Mnemonic::Vmulps, MAP_0F, PP_NONE, 0x59, VForm::Rvm),
-    vex(Mnemonic::Vmulpd, MAP_0F, PP_66, 0x59, VForm::Rvm),
-    vex(Mnemonic::Vdivps, MAP_0F, PP_NONE, 0x5E, VForm::Rvm),
-    vex(Mnemonic::Vdivpd, MAP_0F, PP_66, 0x5E, VForm::Rvm),
-    vex(Mnemonic::Vsqrtps, MAP_0F, PP_NONE, 0x51, VForm::Rm),
-    vexw(Mnemonic::Vfmadd132ps, MAP_0F38, PP_66, 0x98, false, VForm::Rvm),
-    vexw(Mnemonic::Vfmadd213ps, MAP_0F38, PP_66, 0xA8, false, VForm::Rvm),
-    vexw(Mnemonic::Vfmadd231ps, MAP_0F38, PP_66, 0xB8, false, VForm::Rvm),
-    vexw(Mnemonic::Vfmadd231pd, MAP_0F38, PP_66, 0xB8, true, VForm::Rvm),
-    vex(Mnemonic::Vpaddd, MAP_0F, PP_66, 0xFE, VForm::Rvm),
-    vex(Mnemonic::Vpaddq, MAP_0F, PP_66, 0xD4, VForm::Rvm),
-    vex(Mnemonic::Vpmulld, MAP_0F38, PP_66, 0x40, VForm::Rvm),
-    vex(Mnemonic::Vpand, MAP_0F, PP_66, 0xDB, VForm::Rvm),
-    vex(Mnemonic::Vpor, MAP_0F, PP_66, 0xEB, VForm::Rvm),
-    vex(Mnemonic::Vpxor, MAP_0F, PP_66, 0xEF, VForm::Rvm),
-    vex(Mnemonic::Vpermilps, MAP_0F38, PP_66, 0x0C, VForm::Rvm),
-    vex(Mnemonic::Vpermilps, MAP_0F3A, PP_66, 0x04, VForm::RmImm),
-    vex(Mnemonic::Vperm2f128, MAP_0F3A, PP_66, 0x06, VForm::RvmImm),
-    vex(Mnemonic::Vbroadcastss, MAP_0F38, PP_66, 0x18, VForm::BcastRm),
-    vex(Mnemonic::Vinsertf128, MAP_0F3A, PP_66, 0x18, VForm::InsertImm),
-    vex(Mnemonic::Vextractf128, MAP_0F3A, PP_66, 0x19, VForm::ExtractImm),
-    vex(Mnemonic::Vzeroupper, MAP_0F, PP_NONE, 0x77, VForm::Bare(false)),
-    vex(Mnemonic::Vzeroall, MAP_0F, PP_NONE, 0x77, VForm::Bare(true)),
-];
+    vex(Vaddps, MAP_0F, PP_NONE, 0x58, Rvm),
+    vex(Vaddpd, MAP_0F, PP_66, 0x58, Rvm),
+    vex(Vmulps, MAP_0F, PP_NONE, 0x59, Rvm),
+    vex(Vmulpd, MAP_0F, PP_66, 0x59, Rvm),
+    vex(Vdivps, MAP_0F, PP_NONE, 0x5E, Rvm),
+    vex(Vdivpd, MAP_0F, PP_66, 0x5E, Rvm),
+    vex(Vsqrtps, MAP_0F, PP_NONE, 0x51, Rm),
+    vexw(Vfmadd132ps, MAP_0F38, PP_66, 0x98, false, Rvm),
+    vexw(Vfmadd213ps, MAP_0F38, PP_66, 0xA8, false, Rvm),
+    vexw(Vfmadd231ps, MAP_0F38, PP_66, 0xB8, false, Rvm),
+    vexw(Vfmadd231pd, MAP_0F38, PP_66, 0xB8, true, Rvm),
+    vex(Vpaddd, MAP_0F, PP_66, 0xFE, Rvm),
+    vex(Vpaddq, MAP_0F, PP_66, 0xD4, Rvm),
+    vex(Vpmulld, MAP_0F38, PP_66, 0x40, Rvm),
+    vex(Vpand, MAP_0F, PP_66, 0xDB, Rvm),
+    vex(Vpor, MAP_0F, PP_66, 0xEB, Rvm),
+    vex(Vpxor, MAP_0F, PP_66, 0xEF, Rvm),
+    vex(Vpermilps, MAP_0F38, PP_66, 0x0C, Rvm),
+    vex(Vpermilps, MAP_0F3A, PP_66, 0x04, RmImm),
+    vex(Vperm2f128, MAP_0F3A, PP_66, 0x06, RvmImm),
+    vex(Vbroadcastss, MAP_0F38, PP_66, 0x18, BcastRm),
+    vex(Vinsertf128, MAP_0F3A, PP_66, 0x18, InsertImm),
+    vex(Vextractf128, MAP_0F3A, PP_66, 0x19, ExtractImm),
+    vex(Vzeroupper, MAP_0F, PP_NONE, 0x77, Bare(false)),
+    vex(Vzeroall, MAP_0F, PP_NONE, 0x77, Bare(true)),
+    ]
+};
 
 /// Extracts a vector register of the given class.
 fn vec_of(op: &Operand, class: VecClass) -> Option<VecReg> {
@@ -550,7 +894,7 @@ fn l_bit(class: VecClass) -> bool {
 /// Assembles a VEX-prefixed instruction from a filled [`Enc`] (modrm, sib,
 /// disp, imm and the R/X/B extension flags) plus the VEX fields. Uses the
 /// 2-byte `C5` form whenever it can represent the instruction.
-fn emit_vex(e: &Enc, entry: &VecOp, w: bool, l: bool, vvvv: u8) -> Vec<u8> {
+fn emit_vex(e: &Enc, entry: &Op, w: bool, l: bool, vvvv: u8) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
     let vbar = (!vvvv) & 0x0F;
     let r = !e.rex_r as u8;
@@ -574,44 +918,180 @@ fn emit_vex(e: &Enc, entry: &VecOp, w: bool, l: bool, vvvv: u8) -> Vec<u8> {
     out
 }
 
-/// Finishes a legacy-SSE encoding: mandatory prefix, escape map, REX.
-fn emit_sse(mut e: Enc, entry: &VecOp, w: bool) -> Vec<u8> {
+/// Finishes a legacy encoding: mandatory prefix, escape map, and the opcode
+/// plus `low` (the `+r` register bits).
+fn emit_legacy(mut e: Enc, entry: &Op, low: u8) -> Vec<u8> {
     match entry.pp {
         PP_66 => e.prefix66 = true,
         PP_F3 => e.prefix_f3 = true,
         PP_F2 => e.prefix_f2 = true,
         _ => {}
     }
-    e.rex_w = w;
-    e.opcode = match entry.map {
-        MAP_0F38 => vec![0x0F, 0x38, entry.op],
-        MAP_0F3A => vec![0x0F, 0x3A, entry.op],
-        _ => vec![0x0F, entry.op],
+    let escape: &[u8] = match entry.map {
+        MAP_NONE => &[],
+        MAP_0F => &[0x0F],
+        MAP_0F38 => &[0x0F, 0x38],
+        _ => &[0x0F, 0x3A],
     };
+    e.opcode = [escape, &[entry.op | low]].concat();
     e.emit()
 }
 
-/// Finishes an entry once the ModRM side is set: legacy or VEX emission.
-fn emit_entry(e: Enc, entry: &VecOp, w: bool, l: bool, vvvv: u8) -> Vec<u8> {
+/// Finishes a GPR row: `66`/REX.W for the operand width, then the opcode.
+fn emit_gpr(mut e: Enc, entry: &Op, wr: Wr, w: Width, low: u8) -> Vec<u8> {
+    if wr != Wr::Q {
+        e.set_width(w);
+    }
+    emit_legacy(e, entry, low)
+}
+
+/// Finishes a row whose REX/VEX.W is `w` (vector rows, bare opcodes) once
+/// the ModRM side is set: legacy or VEX emission.
+fn emit_entry(mut e: Enc, entry: &Op, w: bool, l: bool, vvvv: u8) -> Vec<u8> {
     if entry.vex {
         emit_vex(&e, entry, w, l, vvvv)
     } else {
-        emit_sse(e, entry, w)
+        e.rex_w = w;
+        emit_legacy(e, entry, 0)
     }
 }
 
-/// Tries to encode `inst` against one table entry. `Ok(None)` means the
-/// entry's operand pattern does not match (the caller tries the next entry);
-/// errors are raised only for patterns that matched structurally.
-fn try_encode_vec(entry: &VecOp, inst: &Instruction) -> Result<Option<Vec<u8>>, EncodeError> {
+/// Maps a label to its byte offset (`None` when the label is out of range).
+type Targets<'a> = &'a dyn Fn(usize) -> Option<usize>;
+
+/// Splits a GPR form's operands into its register-or-memory operand and the
+/// immediate the row expects, when their count and kinds fit.
+fn operand_and_imm(ops: &[Operand], imm: Option<Imm>) -> Option<(&Operand, Option<(Imm, i64)>)> {
+    match (ops, imm) {
+        ([op], None) => Some((op, None)),
+        ([op, Operand::Imm(v)], Some(imm)) => Some((op, Some((imm, *v)))),
+        _ => None,
+    }
+}
+
+/// Tries to encode `inst`, placed at byte offset `start`, against one table
+/// row. `Ok(None)` means the row's operand form does not match (the caller
+/// tries the next row); errors are raised only for forms that matched
+/// structurally.
+fn try_encode(
+    entry: &Op,
+    inst: &Instruction,
+    start: usize,
+    target: Targets,
+) -> Result<Option<Vec<u8>>, EncodeError> {
     // Legacy SSE operates on xmm only; VEX forms derive L from the class.
     let sse_class = VecClass::Xmm;
     let ops = inst.operands.as_slice();
     let w_default = entry.w.unwrap_or(false);
-    let mut e = Enc::default();
+    let out_of_range = || EncodeError::OutOfRange(inst.to_string());
+    let mut e = Enc {
+        force_rex: ops.iter().any(needs_rex_for_byte),
+        ..Enc::default()
+    };
     let bytes = match entry.form {
-        VForm::Rm | VForm::RmImm => {
-            let n = if entry.form == VForm::Rm { 2 } else { 3 };
+        Form::Bare(l) => {
+            if !ops.is_empty() {
+                return Ok(None);
+            }
+            emit_entry(e, entry, w_default, l, 0)
+        }
+        Form::Fixed(modrm) => {
+            if !ops.is_empty() {
+                return Ok(None);
+            }
+            e.modrm = Some(modrm);
+            emit_legacy(e, entry, 0)
+        }
+        Form::GRm(wr, src) => {
+            let [Operand::Gpr(d), s] = ops else {
+                return Ok(None);
+            };
+            let rm = match (src, s) {
+                (Src::Addr, Operand::Mem(m)) if m.width == Width::Q => Some(Rm::Mem(*m)),
+                (Src::Addr, _) => None,
+                (Src::Same, _) => rm_of(s).filter(|(_, w)| *w == d.width).map(|(rm, _)| rm),
+                (Src::Narrow(n), _) => rm_of(s).filter(|(_, w)| *w == n).map(|(rm, _)| rm),
+            };
+            let Some(rm) = rm.filter(|_| wr.allows(d.width)) else {
+                return Ok(None);
+            };
+            e.set_modrm(d.reg.number(), &rm)?;
+            emit_gpr(e, entry, wr, d.width, 0)
+        }
+        Form::GMr(wr) => {
+            let [dst, Operand::Gpr(s)] = ops else {
+                return Ok(None);
+            };
+            let Some((rm, w)) = rm_of(dst).filter(|(_, w)| *w == s.width && wr.allows(*w)) else {
+                return Ok(None);
+            };
+            e.set_modrm(s.reg.number(), &rm)?;
+            emit_gpr(e, entry, wr, w, 0)
+        }
+        Form::GM(wr, ext, imm) => {
+            let Some((dst, imm)) = operand_and_imm(ops, imm) else {
+                return Ok(None);
+            };
+            let Some((rm, w)) = rm_of(dst).filter(|(_, w)| wr.allows(*w)) else {
+                return Ok(None);
+            };
+            if let Some((imm, v)) = imm {
+                e.imm = imm.encode(v, w).ok_or_else(out_of_range)?;
+            }
+            e.set_modrm(ext, &rm)?;
+            emit_gpr(e, entry, wr, w, 0)
+        }
+        Form::GReg(wr, ext) => {
+            let [Operand::Gpr(g)] = ops else {
+                return Ok(None);
+            };
+            if !wr.allows(g.width) {
+                return Ok(None);
+            }
+            e.set_modrm(ext, &Rm::Reg(g.reg.number()))?;
+            emit_gpr(e, entry, wr, g.width, 0)
+        }
+        Form::Mem(ext) => {
+            let [Operand::Mem(m)] = ops else {
+                return Ok(None);
+            };
+            if m.width != Width::Q {
+                return Ok(None);
+            }
+            e.set_modrm(ext, &Rm::Mem(*m))?;
+            emit_legacy(e, entry, 0)
+        }
+        Form::O(wr, imm) => {
+            let Some((Operand::Gpr(g), imm)) = operand_and_imm(ops, imm) else {
+                return Ok(None);
+            };
+            if !wr.allows(g.width) {
+                return Ok(None);
+            }
+            if let Some((imm, v)) = imm {
+                e.imm = imm.encode(v, g.width).ok_or_else(out_of_range)?;
+            }
+            e.rex_b = g.reg.number() > 7;
+            emit_gpr(e, entry, wr, g.width, g.reg.number() & 7)
+        }
+        Form::Rel(n) => {
+            let [Operand::Label(t)] = ops else {
+                return Ok(None);
+            };
+            let target = target(*t)
+                .ok_or_else(|| EncodeError::InvalidOperands(format!("label @{t} out of range")))?;
+            e.imm = vec![0; n];
+            let mut bytes = emit_legacy(e, entry, 0);
+            let rel = target as i64 - (start + bytes.len()) as i64;
+            if !fits_signed(rel, n) {
+                return Err(out_of_range());
+            }
+            let at = bytes.len() - n;
+            bytes[at..].copy_from_slice(&rel.to_le_bytes()[..n]);
+            bytes
+        }
+        Form::Rm | Form::RmImm => {
+            let n = if entry.form == Form::Rm { 2 } else { 3 };
             if ops.len() != n {
                 return Ok(None);
             }
@@ -625,12 +1105,12 @@ fn try_encode_vec(entry: &VecOp, inst: &Instruction) -> Result<Option<Vec<u8>>, 
                 return Ok(None);
             };
             e.set_modrm(d.index, &rm)?;
-            if entry.form == VForm::RmImm {
+            if entry.form == Form::RmImm {
                 e.imm.push(imm8_of(&ops[2], inst)?);
             }
             emit_entry(e, entry, w_default, l_bit(class), 0)
         }
-        VForm::Mr => {
+        Form::Mr => {
             let [dst, src] = ops else { return Ok(None) };
             let (Some(rm), Some(s)) = (rm_vec_or_mem(dst, sse_class), vec_of(src, sse_class))
             else {
@@ -639,8 +1119,8 @@ fn try_encode_vec(entry: &VecOp, inst: &Instruction) -> Result<Option<Vec<u8>>, 
             e.set_modrm(s.index, &rm)?;
             emit_entry(e, entry, w_default, false, 0)
         }
-        VForm::Rvm | VForm::RvmImm => {
-            let n = if entry.form == VForm::Rvm { 3 } else { 4 };
+        Form::Rvm | Form::RvmImm => {
+            let n = if entry.form == Form::Rvm { 3 } else { 4 };
             if ops.len() != n {
                 return Ok(None);
             }
@@ -648,7 +1128,7 @@ fn try_encode_vec(entry: &VecOp, inst: &Instruction) -> Result<Option<Vec<u8>>, 
                 return Ok(None);
             };
             let class = d.class;
-            if entry.form == VForm::RvmImm && class != VecClass::Ymm {
+            if entry.form == Form::RvmImm && class != VecClass::Ymm {
                 // vperm2f128 is defined for ymm only (VEX.L must be 1).
                 return Err(EncodeError::InvalidOperands(inst.to_string()));
             }
@@ -657,12 +1137,12 @@ fn try_encode_vec(entry: &VecOp, inst: &Instruction) -> Result<Option<Vec<u8>>, 
                 return Ok(None);
             };
             e.set_modrm(d.index, &rm)?;
-            if entry.form == VForm::RvmImm {
+            if entry.form == Form::RvmImm {
                 e.imm.push(imm8_of(&ops[3], inst)?);
             }
             emit_entry(e, entry, w_default, l_bit(class), v.index)
         }
-        VForm::VecRm => {
+        Form::VecRm => {
             let [dst, src] = ops else { return Ok(None) };
             let (Some(d), Some((rm, w))) = (vec_of(dst, sse_class), rm_gpr_or_mem(src, w_default))
             else {
@@ -675,7 +1155,7 @@ fn try_encode_vec(entry: &VecOp, inst: &Instruction) -> Result<Option<Vec<u8>>, 
             e.set_modrm(d.index, &rm)?;
             emit_entry(e, entry, w, false, 0)
         }
-        VForm::RmVec => {
+        Form::RmVec => {
             let [dst, src] = ops else { return Ok(None) };
             let (Some((rm, w)), Some(s)) = (rm_gpr_or_mem(dst, w_default), vec_of(src, sse_class))
             else {
@@ -687,7 +1167,7 @@ fn try_encode_vec(entry: &VecOp, inst: &Instruction) -> Result<Option<Vec<u8>>, 
             e.set_modrm(s.index, &rm)?;
             emit_entry(e, entry, w, false, 0)
         }
-        VForm::GprVec => {
+        Form::GprVec => {
             let [dst, src] = ops else { return Ok(None) };
             let (Some(d), Some(rm)) = (dst.as_gpr(), rm_vec_or_mem(src, sse_class)) else {
                 return Ok(None);
@@ -700,23 +1180,7 @@ fn try_encode_vec(entry: &VecOp, inst: &Instruction) -> Result<Option<Vec<u8>>, 
             e.set_modrm(d.reg.number(), &rm)?;
             emit_entry(e, entry, w, false, 0)
         }
-        VForm::GprRm => {
-            let [dst, src] = ops else { return Ok(None) };
-            let Some(d) = dst.as_gpr() else {
-                return Ok(None);
-            };
-            let w = match d.width {
-                Width::Q => true,
-                Width::D => false,
-                _ => return Err(EncodeError::InvalidOperands(inst.to_string())),
-            };
-            let Some((rm, _)) = rm_gpr_or_mem(src, w) else {
-                return Ok(None);
-            };
-            e.set_modrm(d.reg.number(), &rm)?;
-            emit_entry(e, entry, w, false, 0)
-        }
-        VForm::ShiftImm(ext) => {
+        Form::ShiftImm(ext) => {
             let [dst, Operand::Imm(_)] = ops else {
                 return Ok(None);
             };
@@ -727,7 +1191,7 @@ fn try_encode_vec(entry: &VecOp, inst: &Instruction) -> Result<Option<Vec<u8>>, 
             e.imm.push(imm8_of(&ops[1], inst)?);
             emit_entry(e, entry, w_default, false, 0)
         }
-        VForm::BcastRm => {
+        Form::BcastRm => {
             let [dst, src] = ops else { return Ok(None) };
             let (Operand::Vec(d), Some(rm)) = (dst, rm_vec_or_mem(src, VecClass::Xmm)) else {
                 return Ok(None);
@@ -735,7 +1199,7 @@ fn try_encode_vec(entry: &VecOp, inst: &Instruction) -> Result<Option<Vec<u8>>, 
             e.set_modrm(d.index, &rm)?;
             emit_entry(e, entry, w_default, l_bit(d.class), 0)
         }
-        VForm::InsertImm => {
+        Form::InsertImm => {
             let [dst, src1, src2, imm] = ops else {
                 return Ok(None);
             };
@@ -750,7 +1214,7 @@ fn try_encode_vec(entry: &VecOp, inst: &Instruction) -> Result<Option<Vec<u8>>, 
             e.imm.push(imm8_of(imm, inst)?);
             emit_entry(e, entry, w_default, true, v.index)
         }
-        VForm::ExtractImm => {
+        Form::ExtractImm => {
             let [dst, src, imm] = ops else {
                 return Ok(None);
             };
@@ -764,18 +1228,27 @@ fn try_encode_vec(entry: &VecOp, inst: &Instruction) -> Result<Option<Vec<u8>>, 
             e.imm.push(imm8_of(imm, inst)?);
             emit_entry(e, entry, w_default, true, 0)
         }
-        VForm::Bare(l) => {
-            if !ops.is_empty() {
-                return Ok(None);
-            }
-            emit_entry(e, entry, w_default, l, 0)
-        }
     };
     Ok(Some(bytes))
 }
 
-/// Encodes an instruction through the vector-op table.
-fn encode_vector(inst: &Instruction) -> Result<Vec<u8>, EncodeError> {
+/// Encodes one instruction at byte offset `start`: the first table row of its mnemonic
+/// whose form accepts the operands. A row that matched structurally but
+/// failed (an immediate out of range, say) only reports its error when no
+/// later row encodes the instruction, so `81 /0 id` still follows a
+/// too-narrow `83 /0 ib`.
+fn encode_at(inst: &Instruction, start: usize, target: Targets) -> Result<Vec<u8>, EncodeError> {
+    let magic = match inst.mnemonic {
+        Mnemonic::NbPause => Some(MAGIC_PAUSE),
+        Mnemonic::NbResume => Some(MAGIC_RESUME),
+        _ => None,
+    };
+    if let Some(bytes) = magic {
+        return match inst.operands.is_empty() {
+            true => Ok(bytes.to_vec()),
+            false => Err(EncodeError::InvalidOperands(inst.to_string())),
+        };
+    }
     for op in &inst.operands {
         if let Operand::Vec(v) = op {
             if !v.is_vex_encodable() {
@@ -786,17 +1259,24 @@ fn encode_vector(inst: &Instruction) -> Result<Vec<u8>, EncodeError> {
         }
     }
     let mut found = false;
-    for entry in VEC_OPS.iter().filter(|e| e.m == inst.mnemonic) {
+    let mut first_err = None;
+    for entry in OPS.iter().filter(|e| e.m == inst.mnemonic) {
         found = true;
-        if let Some(bytes) = try_encode_vec(entry, inst)? {
-            return Ok(bytes);
+        match try_encode(entry, inst, start, target) {
+            Ok(Some(bytes)) => return Ok(bytes),
+            Ok(None) => {}
+            Err(err) => {
+                first_err.get_or_insert(err);
+            }
         }
     }
-    Err(if found {
-        EncodeError::InvalidOperands(inst.to_string())
-    } else {
-        EncodeError::Unsupported(inst.to_string())
-    })
+    Err(first_err.unwrap_or_else(|| {
+        if found {
+            EncodeError::InvalidOperands(inst.to_string())
+        } else {
+            EncodeError::Unsupported(inst.to_string())
+        }
+    }))
 }
 
 /// Encodes a single non-branch instruction to machine code.
@@ -813,379 +1293,7 @@ pub fn encode_instruction(inst: &Instruction) -> Result<Vec<u8>, EncodeError> {
             "branch `{inst}` must be encoded via encode_program"
         )));
     }
-    encode_nonbranch(inst)
-}
-
-fn simple_bytes(m: Mnemonic) -> Option<&'static [u8]> {
-    Some(match m {
-        Mnemonic::Nop => &[0x90],
-        Mnemonic::Pause => &[0xF3, 0x90],
-        Mnemonic::Ret => &[0xC3],
-        Mnemonic::Lfence => &[0x0F, 0xAE, 0xE8],
-        Mnemonic::Mfence => &[0x0F, 0xAE, 0xF0],
-        Mnemonic::Sfence => &[0x0F, 0xAE, 0xF8],
-        Mnemonic::Cpuid => &[0x0F, 0xA2],
-        Mnemonic::Rdtsc => &[0x0F, 0x31],
-        Mnemonic::Rdtscp => &[0x0F, 0x01, 0xF9],
-        Mnemonic::Rdpmc => &[0x0F, 0x33],
-        Mnemonic::Rdmsr => &[0x0F, 0x32],
-        Mnemonic::Wrmsr => &[0x0F, 0x30],
-        Mnemonic::Wbinvd => &[0x0F, 0x09],
-        Mnemonic::Invd => &[0x0F, 0x08],
-        Mnemonic::Hlt => &[0xF4],
-        Mnemonic::Cli => &[0xFA],
-        Mnemonic::Sti => &[0xFB],
-        Mnemonic::Swapgs => &[0x0F, 0x01, 0xF8],
-        Mnemonic::NbPause => &MAGIC_PAUSE,
-        Mnemonic::NbResume => &MAGIC_RESUME,
-        _ => return None,
-    })
-}
-
-fn encode_nonbranch(inst: &Instruction) -> Result<Vec<u8>, EncodeError> {
-    let m = inst.mnemonic;
-    if let Some(bytes) = simple_bytes(m) {
-        return Ok(bytes.to_vec());
-    }
-    let mut e = Enc::default();
-    let unsupported = || EncodeError::Unsupported(inst.to_string());
-    let invalid = || EncodeError::InvalidOperands(inst.to_string());
-
-    match m {
-        Mnemonic::Mov => {
-            let dst = inst.dst().ok_or_else(invalid)?;
-            let src = inst.src().ok_or_else(invalid)?;
-            match (dst, src) {
-                (Operand::Gpr(d), Operand::Imm(v)) => {
-                    e.force_rex = needs_rex_for_byte(d);
-                    if d.width == Width::Q && i32::try_from(*v).is_err() {
-                        // movabs
-                        e.rex_w = true;
-                        e.rex_b = d.reg.number() > 7;
-                        e.opcode = vec![0xB8 + (d.reg.number() & 7)];
-                        e.imm.extend_from_slice(&v.to_le_bytes());
-                    } else {
-                        e.set_width(d.width);
-                        match d.width {
-                            Width::B => {
-                                e.opcode = vec![0xC6];
-                                e.imm.push(*v as u8);
-                            }
-                            Width::W => {
-                                e.opcode = vec![0xC7];
-                                e.imm.extend_from_slice(&(*v as i16).to_le_bytes());
-                            }
-                            _ => {
-                                e.opcode = vec![0xC7];
-                                let v32 = i32::try_from(*v)
-                                    .map_err(|_| EncodeError::OutOfRange(inst.to_string()))?;
-                                e.imm.extend_from_slice(&v32.to_le_bytes());
-                            }
-                        }
-                        e.set_modrm(0, &Rm::Reg(d.reg.number()))?;
-                    }
-                }
-                (Operand::Mem(mem), Operand::Imm(v)) => {
-                    e.set_width(mem.width);
-                    match mem.width {
-                        Width::B => {
-                            e.opcode = vec![0xC6];
-                            e.set_modrm(0, &Rm::Mem(*mem))?;
-                            e.imm.push(*v as u8);
-                        }
-                        Width::W => {
-                            e.opcode = vec![0xC7];
-                            e.set_modrm(0, &Rm::Mem(*mem))?;
-                            e.imm.extend_from_slice(&(*v as i16).to_le_bytes());
-                        }
-                        _ => {
-                            e.opcode = vec![0xC7];
-                            e.set_modrm(0, &Rm::Mem(*mem))?;
-                            let v32 = i32::try_from(*v)
-                                .map_err(|_| EncodeError::OutOfRange(inst.to_string()))?;
-                            e.imm.extend_from_slice(&v32.to_le_bytes());
-                        }
-                    }
-                }
-                (Operand::Gpr(d), _) => {
-                    let (rm, _) = rm_of(src).ok_or_else(invalid)?;
-                    e.force_rex = needs_rex_for_byte(d);
-                    e.set_width(d.width);
-                    e.opcode = vec![if d.width == Width::B { 0x8A } else { 0x8B }];
-                    e.set_modrm(d.reg.number(), &rm)?;
-                }
-                (Operand::Mem(mem), Operand::Gpr(s)) => {
-                    e.force_rex = needs_rex_for_byte(s);
-                    e.set_width(s.width);
-                    e.opcode = vec![if s.width == Width::B { 0x88 } else { 0x89 }];
-                    e.set_modrm(s.reg.number(), &Rm::Mem(*mem))?;
-                }
-                _ => return Err(unsupported()),
-            }
-        }
-        _ if alu_index(m).is_some() => {
-            let idx = alu_index(m).unwrap();
-            let dst = inst.dst().ok_or_else(invalid)?;
-            let src = inst.src().ok_or_else(invalid)?;
-            match (dst, src) {
-                (_, Operand::Imm(v)) => {
-                    let (rm, w) = rm_of(dst).ok_or_else(invalid)?;
-                    if let Operand::Gpr(g) = dst {
-                        e.force_rex = needs_rex_for_byte(g);
-                    }
-                    e.set_width(w);
-                    if w == Width::B {
-                        e.opcode = vec![0x80];
-                        e.set_modrm(idx, &rm)?;
-                        e.imm.push(*v as u8);
-                    } else if let Ok(v8) = i8::try_from(*v) {
-                        e.opcode = vec![0x83];
-                        e.set_modrm(idx, &rm)?;
-                        e.imm.push(v8 as u8);
-                    } else {
-                        e.opcode = vec![0x81];
-                        e.set_modrm(idx, &rm)?;
-                        let v32 = i32::try_from(*v)
-                            .map_err(|_| EncodeError::OutOfRange(inst.to_string()))?;
-                        if w == Width::W {
-                            e.imm.extend_from_slice(&(v32 as i16).to_le_bytes());
-                        } else {
-                            e.imm.extend_from_slice(&v32.to_le_bytes());
-                        }
-                    }
-                }
-                (Operand::Gpr(d), _) => {
-                    let (rm, _) = rm_of(src).ok_or_else(invalid)?;
-                    e.force_rex = needs_rex_for_byte(d);
-                    e.set_width(d.width);
-                    e.opcode = vec![if d.width == Width::B {
-                        idx * 8 + 2
-                    } else {
-                        idx * 8 + 3
-                    }];
-                    e.set_modrm(d.reg.number(), &rm)?;
-                }
-                (Operand::Mem(mem), Operand::Gpr(s)) => {
-                    e.force_rex = needs_rex_for_byte(s);
-                    e.set_width(s.width);
-                    e.opcode = vec![if s.width == Width::B {
-                        idx * 8
-                    } else {
-                        idx * 8 + 1
-                    }];
-                    e.set_modrm(s.reg.number(), &Rm::Mem(*mem))?;
-                }
-                _ => return Err(unsupported()),
-            }
-        }
-        Mnemonic::Test => {
-            let dst = inst.dst().ok_or_else(invalid)?;
-            let src = inst.src().ok_or_else(invalid)?;
-            match src {
-                Operand::Gpr(s) => {
-                    let (rm, w) = rm_of(dst).ok_or_else(invalid)?;
-                    e.force_rex = needs_rex_for_byte(s);
-                    e.set_width(w);
-                    e.opcode = vec![if w == Width::B { 0x84 } else { 0x85 }];
-                    e.set_modrm(s.reg.number(), &rm)?;
-                }
-                Operand::Imm(v) => {
-                    let (rm, w) = rm_of(dst).ok_or_else(invalid)?;
-                    e.set_width(w);
-                    e.opcode = vec![if w == Width::B { 0xF6 } else { 0xF7 }];
-                    e.set_modrm(0, &rm)?;
-                    if w == Width::B {
-                        e.imm.push(*v as u8);
-                    } else {
-                        let v32 = i32::try_from(*v)
-                            .map_err(|_| EncodeError::OutOfRange(inst.to_string()))?;
-                        e.imm.extend_from_slice(&v32.to_le_bytes());
-                    }
-                }
-                _ => return Err(unsupported()),
-            }
-        }
-        Mnemonic::Inc | Mnemonic::Dec => {
-            let (rm, w) = rm_of(inst.dst().ok_or_else(invalid)?).ok_or_else(invalid)?;
-            e.set_width(w);
-            e.opcode = vec![if w == Width::B { 0xFE } else { 0xFF }];
-            e.set_modrm(if m == Mnemonic::Inc { 0 } else { 1 }, &rm)?;
-        }
-        Mnemonic::Neg | Mnemonic::Not | Mnemonic::Mul | Mnemonic::Div | Mnemonic::Idiv => {
-            let (rm, w) = rm_of(inst.dst().ok_or_else(invalid)?).ok_or_else(invalid)?;
-            e.set_width(w);
-            e.opcode = vec![if w == Width::B { 0xF6 } else { 0xF7 }];
-            let ext = match m {
-                Mnemonic::Not => 2,
-                Mnemonic::Neg => 3,
-                Mnemonic::Mul => 4,
-                Mnemonic::Div => 6,
-                Mnemonic::Idiv => 7,
-                _ => unreachable!(),
-            };
-            e.set_modrm(ext, &rm)?;
-        }
-        Mnemonic::Imul => {
-            // Only the two-operand form `imul r, r/m` is encoded; the
-            // one-operand form uses F7 /5.
-            match (inst.dst(), inst.src()) {
-                (Some(Operand::Gpr(d)), Some(src)) => {
-                    let (rm, _) = rm_of(src).ok_or_else(invalid)?;
-                    e.set_width(d.width);
-                    e.opcode = vec![0x0F, 0xAF];
-                    e.set_modrm(d.reg.number(), &rm)?;
-                }
-                (Some(one), None) => {
-                    let (rm, w) = rm_of(one).ok_or_else(invalid)?;
-                    e.set_width(w);
-                    e.opcode = vec![0xF7];
-                    e.set_modrm(5, &rm)?;
-                }
-                _ => return Err(invalid()),
-            }
-        }
-        _ if shift_ext(m).is_some() => {
-            let ext = shift_ext(m).unwrap();
-            let (rm, w) = rm_of(inst.dst().ok_or_else(invalid)?).ok_or_else(invalid)?;
-            let amount = inst.src().and_then(|s| s.as_imm()).ok_or_else(invalid)?;
-            e.set_width(w);
-            if amount == 1 {
-                e.opcode = vec![if w == Width::B { 0xD0 } else { 0xD1 }];
-                e.set_modrm(ext, &rm)?;
-            } else {
-                e.opcode = vec![if w == Width::B { 0xC0 } else { 0xC1 }];
-                e.set_modrm(ext, &rm)?;
-                e.imm.push(amount as u8);
-            }
-        }
-        Mnemonic::Lea => {
-            let d = inst.dst().and_then(|o| o.as_gpr()).ok_or_else(invalid)?;
-            let mem = inst.src().and_then(|o| o.as_mem()).ok_or_else(invalid)?;
-            e.set_width(d.width);
-            e.opcode = vec![0x8D];
-            e.set_modrm(d.reg.number(), &Rm::Mem(mem))?;
-        }
-        Mnemonic::Movzx | Mnemonic::Movsx => {
-            let d = inst.dst().and_then(|o| o.as_gpr()).ok_or_else(invalid)?;
-            let (rm, sw) = rm_of(inst.src().ok_or_else(invalid)?).ok_or_else(invalid)?;
-            e.set_width(d.width);
-            let base = if m == Mnemonic::Movzx { 0xB6 } else { 0xBE };
-            let op = match sw {
-                Width::B => base,
-                Width::W => base + 1,
-                _ => return Err(unsupported()),
-            };
-            e.opcode = vec![0x0F, op];
-            e.set_modrm(d.reg.number(), &rm)?;
-        }
-        Mnemonic::Push | Mnemonic::Pop => {
-            let d = inst.dst().and_then(|o| o.as_gpr()).ok_or_else(invalid)?;
-            if d.width != Width::Q {
-                return Err(unsupported());
-            }
-            e.rex_b = d.reg.number() > 7;
-            let base = if m == Mnemonic::Push { 0x50 } else { 0x58 };
-            e.opcode = vec![base + (d.reg.number() & 7)];
-        }
-        Mnemonic::Xchg | Mnemonic::Xadd => {
-            let dst = inst.dst().ok_or_else(invalid)?;
-            let s = inst.src().and_then(|o| o.as_gpr()).ok_or_else(invalid)?;
-            let (rm, _) = rm_of(dst).ok_or_else(invalid)?;
-            e.set_width(s.width);
-            e.opcode = if m == Mnemonic::Xchg {
-                vec![if s.width == Width::B { 0x86 } else { 0x87 }]
-            } else {
-                vec![0x0F, if s.width == Width::B { 0xC0 } else { 0xC1 }]
-            };
-            e.set_modrm(s.reg.number(), &rm)?;
-        }
-        Mnemonic::Bswap => {
-            let d = inst.dst().and_then(|o| o.as_gpr()).ok_or_else(invalid)?;
-            e.set_width(d.width);
-            e.rex_b = d.reg.number() > 7;
-            e.opcode = vec![0x0F, 0xC8 + (d.reg.number() & 7)];
-        }
-        Mnemonic::Cmovz | Mnemonic::Cmovnz => {
-            let d = inst.dst().and_then(|o| o.as_gpr()).ok_or_else(invalid)?;
-            let (rm, _) = rm_of(inst.src().ok_or_else(invalid)?).ok_or_else(invalid)?;
-            e.set_width(d.width);
-            e.opcode = vec![0x0F, if m == Mnemonic::Cmovz { 0x44 } else { 0x45 }];
-            e.set_modrm(d.reg.number(), &rm)?;
-        }
-        Mnemonic::Setz | Mnemonic::Setnz => {
-            let (rm, _) = rm_of(inst.dst().ok_or_else(invalid)?).ok_or_else(invalid)?;
-            if let Some(Operand::Gpr(g)) = inst.dst() {
-                e.force_rex = needs_rex_for_byte(g);
-            }
-            e.opcode = vec![0x0F, if m == Mnemonic::Setz { 0x94 } else { 0x95 }];
-            e.set_modrm(0, &rm)?;
-        }
-        Mnemonic::Popcnt | Mnemonic::Lzcnt | Mnemonic::Tzcnt => {
-            let d = inst.dst().and_then(|o| o.as_gpr()).ok_or_else(invalid)?;
-            let (rm, _) = rm_of(inst.src().ok_or_else(invalid)?).ok_or_else(invalid)?;
-            e.prefix_f3 = true;
-            e.set_width(d.width);
-            let op = match m {
-                Mnemonic::Popcnt => 0xB8,
-                Mnemonic::Tzcnt => 0xBC,
-                Mnemonic::Lzcnt => 0xBD,
-                _ => unreachable!(),
-            };
-            e.opcode = vec![0x0F, op];
-            e.set_modrm(d.reg.number(), &rm)?;
-        }
-        Mnemonic::Bsf | Mnemonic::Bsr => {
-            let d = inst.dst().and_then(|o| o.as_gpr()).ok_or_else(invalid)?;
-            let (rm, _) = rm_of(inst.src().ok_or_else(invalid)?).ok_or_else(invalid)?;
-            e.set_width(d.width);
-            e.opcode = vec![0x0F, if m == Mnemonic::Bsf { 0xBC } else { 0xBD }];
-            e.set_modrm(d.reg.number(), &rm)?;
-        }
-        Mnemonic::Clflush | Mnemonic::Clflushopt => {
-            let mem = inst.dst().and_then(|o| o.as_mem()).ok_or_else(invalid)?;
-            e.prefix66 = m == Mnemonic::Clflushopt;
-            e.opcode = vec![0x0F, 0xAE];
-            e.set_modrm(7, &Rm::Mem(mem))?;
-        }
-        Mnemonic::Prefetcht0
-        | Mnemonic::Prefetcht1
-        | Mnemonic::Prefetcht2
-        | Mnemonic::Prefetchnta => {
-            let mem = inst.dst().and_then(|o| o.as_mem()).ok_or_else(invalid)?;
-            let ext = match m {
-                Mnemonic::Prefetchnta => 0,
-                Mnemonic::Prefetcht0 => 1,
-                Mnemonic::Prefetcht1 => 2,
-                Mnemonic::Prefetcht2 => 3,
-                _ => unreachable!(),
-            };
-            e.opcode = vec![0x0F, 0x18];
-            e.set_modrm(ext, &Rm::Mem(mem))?;
-        }
-        Mnemonic::Invlpg => {
-            let mem = inst.dst().and_then(|o| o.as_mem()).ok_or_else(invalid)?;
-            e.opcode = vec![0x0F, 0x01];
-            e.set_modrm(7, &Rm::Mem(mem))?;
-        }
-        Mnemonic::MovCr3 => {
-            let s = inst.dst().and_then(|o| o.as_gpr()).ok_or_else(invalid)?;
-            e.opcode = vec![0x0F, 0x22];
-            e.set_modrm(3, &Rm::Reg(s.reg.number()))?;
-        }
-        Mnemonic::Rdrand | Mnemonic::Rdseed => {
-            let d = inst.dst().and_then(|o| o.as_gpr()).ok_or_else(invalid)?;
-            e.set_width(d.width);
-            e.opcode = vec![0x0F, 0xC7];
-            e.set_modrm(
-                if m == Mnemonic::Rdrand { 6 } else { 7 },
-                &Rm::Reg(d.reg.number()),
-            )?;
-        }
-        // Everything else — the SSE/AVX subset plus CRC32 — goes through
-        // the vector-op table; unknown mnemonics fail there.
-        _ => return encode_vector(inst),
-    }
-    Ok(e.emit())
+    encode_at(inst, 0, &|_| None)
 }
 
 /// Encodes a whole program, resolving [`Operand::Label`] branch targets to
@@ -1198,65 +1306,24 @@ fn encode_nonbranch(inst: &Instruction) -> Result<Vec<u8>, EncodeError> {
 /// Returns [`EncodeError`] if any instruction is outside the supported
 /// encoding subset or a label index is out of range.
 pub fn encode_program(insts: &[Instruction]) -> Result<(Vec<u8>, Vec<usize>), EncodeError> {
-    // First pass: lengths (branches have fixed length: opcode + rel32).
-    let mut lengths = Vec::with_capacity(insts.len());
+    // First pass: offsets. A branch row's length does not depend on its
+    // target, so any target will do.
+    let mut offsets = Vec::with_capacity(insts.len());
+    let mut total = 0usize;
     for inst in insts {
-        let len = match inst.mnemonic {
-            Mnemonic::Jmp | Mnemonic::Call => 5,
-            Mnemonic::Jz | Mnemonic::Jnz | Mnemonic::Jc | Mnemonic::Jnc => 6,
-            _ => encode_nonbranch(inst)?.len(),
-        };
-        lengths.push(len);
+        offsets.push(total);
+        total += encode_at(inst, total, &|_| Some(0))?.len();
     }
-    let mut offsets = Vec::with_capacity(insts.len() + 1);
-    let mut off = 0usize;
-    for len in &lengths {
-        offsets.push(off);
-        off += len;
-    }
-    let total = off;
-
-    let mut out = Vec::with_capacity(total);
-    for (i, inst) in insts.iter().enumerate() {
-        match inst.mnemonic {
-            Mnemonic::Jmp
-            | Mnemonic::Call
-            | Mnemonic::Jz
-            | Mnemonic::Jnz
-            | Mnemonic::Jc
-            | Mnemonic::Jnc => {
-                let target = match inst.dst() {
-                    Some(Operand::Label(t)) => *t,
-                    _ => {
-                        return Err(EncodeError::InvalidOperands(format!(
-                            "branch `{inst}` needs a label operand"
-                        )))
-                    }
-                };
-                let target_off = if target == insts.len() {
-                    total
-                } else {
-                    *offsets.get(target).ok_or_else(|| {
-                        EncodeError::InvalidOperands(format!("label @{target} out of range"))
-                    })?
-                };
-                let next = offsets[i] + lengths[i];
-                let rel = target_off as i64 - next as i64;
-                let rel32 =
-                    i32::try_from(rel).map_err(|_| EncodeError::OutOfRange(inst.to_string()))?;
-                match inst.mnemonic {
-                    Mnemonic::Jmp => out.push(0xE9),
-                    Mnemonic::Call => out.push(0xE8),
-                    Mnemonic::Jz => out.extend_from_slice(&[0x0F, 0x84]),
-                    Mnemonic::Jnz => out.extend_from_slice(&[0x0F, 0x85]),
-                    Mnemonic::Jc => out.extend_from_slice(&[0x0F, 0x82]),
-                    Mnemonic::Jnc => out.extend_from_slice(&[0x0F, 0x83]),
-                    _ => unreachable!(),
-                }
-                out.extend_from_slice(&rel32.to_le_bytes());
-            }
-            _ => out.extend_from_slice(&encode_nonbranch(inst)?),
+    let target = |t: usize| {
+        if t == insts.len() {
+            Some(total)
+        } else {
+            offsets.get(t).copied()
         }
+    };
+    let mut out = Vec::with_capacity(total);
+    for (inst, &start) in insts.iter().zip(&offsets) {
+        out.extend_from_slice(&encode_at(inst, start, &target)?);
     }
     debug_assert_eq!(out.len(), total);
     Ok((out, offsets))
@@ -1293,82 +1360,14 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    fn i8(&mut self) -> Result<i8, DecodeError> {
-        Ok(self.u8()? as i8)
-    }
-
-    fn i16(&mut self) -> Result<i16, DecodeError> {
-        let lo = self.u8()?;
-        let hi = self.u8()?;
-        Ok(i16::from_le_bytes([lo, hi]))
-    }
-
-    fn i32(&mut self) -> Result<i32, DecodeError> {
-        let mut b = [0u8; 4];
-        for x in &mut b {
-            *x = self.u8()?;
-        }
-        Ok(i32::from_le_bytes(b))
-    }
-
-    fn i64(&mut self) -> Result<i64, DecodeError> {
+    /// A little-endian signed integer of `n` bytes (1..=8), sign-extended.
+    fn int(&mut self, n: usize) -> Result<i64, DecodeError> {
         let mut b = [0u8; 8];
-        for x in &mut b {
+        for x in &mut b[..n] {
             *x = self.u8()?;
         }
-        Ok(i64::from_le_bytes(b))
-    }
-}
-
-struct Prefixes {
-    p66: bool,
-    f3: bool,
-    f2: bool,
-    rex: u8,
-}
-
-impl Prefixes {
-    fn w(&self) -> bool {
-        self.rex & 8 != 0
-    }
-    fn r(&self) -> u8 {
-        (self.rex >> 2) & 1
-    }
-    fn x(&self) -> u8 {
-        (self.rex >> 1) & 1
-    }
-    fn b(&self) -> u8 {
-        self.rex & 1
-    }
-    fn bits(&self) -> RexBits {
-        RexBits {
-            r: self.r(),
-            x: self.x(),
-            b: self.b(),
-        }
-    }
-    /// The SSE mandatory-prefix value (VEX `pp` numbering). As on real
-    /// hardware, `F2`/`F3` take precedence over `66` when several prefixes
-    /// are present (a stray `66` before `F3 0F 6F` still selects `movdqu`).
-    fn pp(&self) -> u8 {
-        if self.f3 {
-            PP_F3
-        } else if self.f2 {
-            PP_F2
-        } else if self.p66 {
-            PP_66
-        } else {
-            PP_NONE
-        }
-    }
-    fn op_width(&self) -> Width {
-        if self.w() {
-            Width::Q
-        } else if self.p66 {
-            Width::W
-        } else {
-            Width::D
-        }
+        let shift = 64 - 8 * n as u32;
+        Ok((i64::from_le_bytes(b) << shift) >> shift)
     }
 }
 
@@ -1404,10 +1403,7 @@ fn decode_modrm_bits(
     if mode == 3 {
         let reg_num = rm_bits | (bits.b << 3);
         let op = match cls {
-            RmClass::Gpr(width) => Operand::Gpr(GprPart {
-                reg: Gpr::from_number(reg_num).expect("4-bit register number"),
-                width,
-            }),
+            RmClass::Gpr(width) => gpr_op(reg_num, width),
             RmClass::Vec(class) => Operand::Vec(VecReg {
                 index: reg_num,
                 class,
@@ -1427,7 +1423,7 @@ fn decode_modrm_bits(
             index = Some((Gpr::from_number(idx_num).unwrap(), scale));
         }
         if base_bits == 5 && mode == 0 {
-            disp = d.i32()? as i64;
+            disp = d.int(4)?;
         } else {
             base = Some(Gpr::from_number(base_bits | (bits.b << 3)).unwrap());
         }
@@ -1440,8 +1436,8 @@ fn decode_modrm_bits(
         base = Some(Gpr::from_number(rm_bits | (bits.b << 3)).unwrap());
     }
     match mode {
-        1 => disp += d.i8()? as i64,
-        2 => disp += d.i32()? as i64,
+        1 => disp += d.int(1)?,
+        2 => disp += d.int(4)?,
         _ => {}
     }
     Ok((
@@ -1453,11 +1449,6 @@ fn decode_modrm_bits(
             width: mem_width,
         }),
     ))
-}
-
-/// Decodes ModRM for a GPR-form instruction (reg field, r/m operand).
-fn decode_modrm(d: &mut Decoder, p: &Prefixes, width: Width) -> Result<(u8, Operand), DecodeError> {
-    decode_modrm_bits(d, p.bits(), RmClass::Gpr(width), width)
 }
 
 fn gpr_op(num: u8, width: Width) -> Operand {
@@ -1526,551 +1517,310 @@ pub fn decode_program(bytes: &[u8]) -> Result<Vec<Instruction>, DecodeError> {
     Ok(insts)
 }
 
+/// The decoder's view of one instruction's prefix and opcode bytes: the
+/// lookup key into the opcode table plus the fields operand decoding needs.
+struct Key {
+    vex: bool,
+    map: u8,
+    op: u8,
+    /// The mandatory-prefix value (VEX `pp` numbering). As on real hardware,
+    /// legacy `F2`/`F3` take precedence over `66` when several are present
+    /// (a stray `66` before `F3 0F 6F` still selects `movdqu`).
+    pp: u8,
+    /// The legacy prefixes present, one bit per `pp` value.
+    present: u8,
+    w: bool,
+    l: bool,
+    vvvv: u8,
+    bits: RexBits,
+    /// The GPR operand width `66`/REX.W select.
+    opsize: Width,
+}
+
+impl Op {
+    /// Whether this row decodes `k` (given the ModRM byte, when there is
+    /// one) and, if so, whether it does without a mandatory prefix: such a
+    /// row loses to a matching row whose mandatory prefix is present.
+    fn decodes(&self, k: &Key, modrm: Option<u8>) -> Option<bool> {
+        let op = match self.form {
+            Form::O(..) => k.op & 0xF8,
+            _ => k.op,
+        };
+        let prefix = if self.vex || self.form.is_vector() {
+            self.pp == k.pp
+        } else {
+            self.pp == PP_NONE || k.present & (1 << self.pp) != 0
+        };
+        let matched = self.vex == k.vex
+            && self.map == k.map
+            && self.op == op
+            && prefix
+            && self.w.is_none_or(|w| w == k.w)
+            && !matches!(self.form, Form::Bare(l) if l != k.l)
+            && modrm.is_none_or(|b| self.form.accepts_modrm(b));
+        matched.then_some(self.pp == PP_NONE)
+    }
+}
+
 fn decode_one(
     d: &mut Decoder,
     on_branch: &mut dyn FnMut(usize),
 ) -> Result<Instruction, DecodeError> {
     let start = d.pos;
-    let mut p = Prefixes {
-        p66: false,
-        f3: false,
-        f2: false,
-        rex: 0,
-    };
+    let (mut present, mut rex) = (0u8, 0u8);
     loop {
         match d.peek() {
-            Some(0x66) => {
-                p.p66 = true;
-                d.pos += 1;
-            }
-            Some(0xF3) => {
-                p.f3 = true;
-                d.pos += 1;
-            }
-            Some(0xF2) => {
-                p.f2 = true;
-                d.pos += 1;
-            }
-            Some(b) if (0x40..0x50).contains(&b) => {
-                p.rex = b & 0x0F;
-                d.pos += 1;
-            }
+            Some(0x66) => present |= 1 << PP_66,
+            Some(0xF3) => present |= 1 << PP_F3,
+            Some(0xF2) => present |= 1 << PP_F2,
+            Some(b) if (0x40..0x50).contains(&b) => rex = b & 0x0F,
             _ => break,
         }
+        d.pos += 1;
     }
-    let w = p.op_width();
-    let op = d.u8()?;
-    let inst = match op {
-        0x90 => {
-            if p.f3 {
-                Instruction::new(Mnemonic::Pause)
-            } else {
-                Instruction::new(Mnemonic::Nop)
-            }
+    let first = d.u8()?;
+    let k = match first {
+        0xC4 | 0xC5 if present != 0 || rex != 0 => {
+            return d.err("legacy prefixes are not allowed before a VEX prefix");
         }
-        0xC3 => Instruction::new(Mnemonic::Ret),
-        0xF4 => Instruction::new(Mnemonic::Hlt),
-        0xFA => Instruction::new(Mnemonic::Cli),
-        0xFB => Instruction::new(Mnemonic::Sti),
-        0x50..=0x57 => {
-            Instruction::unary(Mnemonic::Push, gpr_op((op - 0x50) | (p.b() << 3), Width::Q))
-        }
-        0x58..=0x5F => {
-            Instruction::unary(Mnemonic::Pop, gpr_op((op - 0x58) | (p.b() << 3), Width::Q))
-        }
-        0xB8..=0xBF => {
-            let reg = gpr_op((op - 0xB8) | (p.b() << 3), w);
-            let imm = if p.w() {
-                d.i64()?
-            } else if p.p66 {
-                d.i16()? as i64
-            } else {
-                d.i32()? as i64
-            };
-            Instruction::binary(Mnemonic::Mov, reg, Operand::Imm(imm))
-        }
-        0xC6 | 0xC7 => {
-            let width = if op == 0xC6 { Width::B } else { w };
-            let (_, rm) = decode_modrm(d, &p, width)?;
-            let imm = match width {
-                Width::B => d.i8()? as i64,
-                Width::W => d.i16()? as i64,
-                _ => d.i32()? as i64,
-            };
-            Instruction::binary(Mnemonic::Mov, rm, Operand::Imm(imm))
-        }
-        0x88..=0x8B => {
-            let width = if op & 1 == 0 { Width::B } else { w };
-            let (reg, rm) = decode_modrm(d, &p, width)?;
-            let reg = gpr_op(reg, width);
-            if op < 0x8A {
-                Instruction::binary(Mnemonic::Mov, rm, reg)
-            } else {
-                Instruction::binary(Mnemonic::Mov, reg, rm)
-            }
-        }
-        0x8D => {
-            let (reg, rm) = decode_modrm(d, &p, w)?;
-            Instruction::binary(Mnemonic::Lea, gpr_op(reg, w), rm)
-        }
-        0x00..=0x3B if op & 7 <= 3 => {
-            let idx = op >> 3;
-            let mnem = [
-                Mnemonic::Add,
-                Mnemonic::Or,
-                Mnemonic::Adc,
-                Mnemonic::Sbb,
-                Mnemonic::And,
-                Mnemonic::Sub,
-                Mnemonic::Xor,
-                Mnemonic::Cmp,
-            ][idx as usize];
-            let width = if op & 1 == 0 { Width::B } else { w };
-            let (reg, rm) = decode_modrm(d, &p, width)?;
-            let reg = gpr_op(reg, width);
-            if op & 2 == 0 {
-                Instruction::binary(mnem, rm, reg)
-            } else {
-                Instruction::binary(mnem, reg, rm)
-            }
-        }
-        0x80 | 0x81 | 0x83 => {
-            let width = if op == 0x80 { Width::B } else { w };
-            let (ext, rm) = decode_modrm(d, &p, width)?;
-            let mnem = [
-                Mnemonic::Add,
-                Mnemonic::Or,
-                Mnemonic::Adc,
-                Mnemonic::Sbb,
-                Mnemonic::And,
-                Mnemonic::Sub,
-                Mnemonic::Xor,
-                Mnemonic::Cmp,
-            ][(ext & 7) as usize];
-            let imm = match op {
-                0x80 => d.i8()? as i64,
-                0x83 => d.i8()? as i64,
-                _ if width == Width::W => d.i16()? as i64,
-                _ => d.i32()? as i64,
-            };
-            Instruction::binary(mnem, rm, Operand::Imm(imm))
-        }
-        0x84 | 0x85 => {
-            let width = if op == 0x84 { Width::B } else { w };
-            let (reg, rm) = decode_modrm(d, &p, width)?;
-            Instruction::binary(Mnemonic::Test, rm, gpr_op(reg, width))
-        }
-        0x86 | 0x87 => {
-            let width = if op == 0x86 { Width::B } else { w };
-            let (reg, rm) = decode_modrm(d, &p, width)?;
-            Instruction::binary(Mnemonic::Xchg, rm, gpr_op(reg, width))
-        }
-        0xF6 | 0xF7 => {
-            let width = if op == 0xF6 { Width::B } else { w };
-            let (ext, rm) = decode_modrm(d, &p, width)?;
-            match ext & 7 {
-                0 => {
-                    let imm = if width == Width::B {
-                        d.i8()? as i64
-                    } else if width == Width::W {
-                        d.i16()? as i64
-                    } else {
-                        d.i32()? as i64
-                    };
-                    Instruction::binary(Mnemonic::Test, rm, Operand::Imm(imm))
-                }
-                2 => Instruction::unary(Mnemonic::Not, rm),
-                3 => Instruction::unary(Mnemonic::Neg, rm),
-                4 => Instruction::unary(Mnemonic::Mul, rm),
-                5 => Instruction::unary(Mnemonic::Imul, rm),
-                6 => Instruction::unary(Mnemonic::Div, rm),
-                7 => Instruction::unary(Mnemonic::Idiv, rm),
-                _ => return d.err("bad F7 extension"),
-            }
-        }
-        0xFE | 0xFF => {
-            let width = if op == 0xFE { Width::B } else { w };
-            let (ext, rm) = decode_modrm(d, &p, width)?;
-            match ext & 7 {
-                0 => Instruction::unary(Mnemonic::Inc, rm),
-                1 => Instruction::unary(Mnemonic::Dec, rm),
-                _ => return d.err("unsupported FF extension"),
-            }
-        }
-        0xC0 | 0xC1 | 0xD0 | 0xD1 => {
-            let width = if op & 1 == 0 { Width::B } else { w };
-            let (ext, rm) = decode_modrm(d, &p, width)?;
-            let mnem = match ext & 7 {
-                0 => Mnemonic::Rol,
-                1 => Mnemonic::Ror,
-                4 => Mnemonic::Shl,
-                5 => Mnemonic::Shr,
-                7 => Mnemonic::Sar,
-                _ => return d.err("unsupported shift extension"),
-            };
-            let amount = if op >= 0xD0 { 1 } else { d.u8()? as i64 };
-            Instruction::binary(mnem, rm, Operand::Imm(amount))
-        }
-        0xE8 | 0xE9 => {
-            let rel = d.i32()? as i64;
-            let target = (d.pos as i64 + rel) as usize;
-            on_branch(target);
-            Instruction::unary(
-                if op == 0xE8 {
-                    Mnemonic::Call
-                } else {
-                    Mnemonic::Jmp
-                },
-                Operand::Label(usize::MAX),
-            )
-        }
-        0xEB | 0x72 | 0x73 | 0x74 | 0x75 => {
-            let rel = d.i8()? as i64;
-            let target = (d.pos as i64 + rel) as usize;
-            on_branch(target);
-            let mnem = match op {
-                0xEB => Mnemonic::Jmp,
-                0x72 => Mnemonic::Jc,
-                0x73 => Mnemonic::Jnc,
-                0x74 => Mnemonic::Jz,
-                _ => Mnemonic::Jnz,
-            };
-            Instruction::unary(mnem, Operand::Label(usize::MAX))
-        }
-        0x0F => decode_0f(d, &p, w, on_branch)?,
-        0xC4 | 0xC5 => decode_vex(d, op, &p)?,
+        0xC4 | 0xC5 => vex_key(d, first)?,
         _ => {
-            d.pos = start;
-            return d.err(format!("unknown opcode {op:#04x}"));
+            let (map, op) = match first {
+                0x0F => match d.u8()? {
+                    0x38 => (MAP_0F38, d.u8()?),
+                    0x3A => (MAP_0F3A, d.u8()?),
+                    op => (MAP_0F, op),
+                },
+                op => (MAP_NONE, op),
+            };
+            let w = rex & 8 != 0;
+            let pp = [PP_F3, PP_F2, PP_66]
+                .into_iter()
+                .find(|&pp| present & (1 << pp) != 0)
+                .unwrap_or(PP_NONE);
+            Key {
+                vex: false,
+                map,
+                op,
+                pp,
+                present,
+                w,
+                l: false,
+                vvvv: 0,
+                bits: RexBits {
+                    r: (rex >> 2) & 1,
+                    x: (rex >> 1) & 1,
+                    b: rex & 1,
+                },
+                opsize: if w {
+                    Width::Q
+                } else if present & (1 << PP_66) != 0 {
+                    Width::W
+                } else {
+                    Width::D
+                },
+            }
         }
     };
-    Ok(inst)
+    let modrm = d.peek();
+    let row = OPS
+        .iter()
+        .filter_map(|row| row.decodes(&k, modrm).map(|no_prefix| (no_prefix, row)))
+        .min_by_key(|(no_prefix, _)| *no_prefix);
+    match row {
+        Some((_, row)) => decode_row(d, row, &k, on_branch),
+        None => {
+            let what = if k.vex { "VEX opcode" } else { "opcode" };
+            d.pos = start;
+            d.err(format!(
+                "unknown {what} map {} pp {} {:#04x}",
+                k.map, k.pp, k.op
+            ))
+        }
+    }
 }
 
-/// Decodes a VEX-prefixed instruction (`C4` three-byte / `C5` two-byte).
-fn decode_vex(d: &mut Decoder, first: u8, p: &Prefixes) -> Result<Instruction, DecodeError> {
-    if p.rex != 0 || p.p66 || p.f3 || p.f2 {
-        return d.err("legacy prefixes are not allowed before a VEX prefix");
-    }
-    let (bits, map, w, vvvv, l, pp);
+/// Reads a VEX prefix (`C4` three-byte / `C5` two-byte) and the opcode.
+fn vex_key(d: &mut Decoder, first: u8) -> Result<Key, DecodeError> {
+    let (bits, map, w, tail);
     if first == 0xC5 {
-        let b = d.u8()?;
+        tail = d.u8()?;
         bits = RexBits {
-            r: (!b >> 7) & 1,
+            r: (!tail >> 7) & 1,
             x: 0,
             b: 0,
         };
         map = MAP_0F;
         w = false;
-        vvvv = (!b >> 3) & 0x0F;
-        l = b & 4 != 0;
-        pp = b & 3;
     } else {
         let b1 = d.u8()?;
-        let b2 = d.u8()?;
+        tail = d.u8()?;
         bits = RexBits {
             r: (!b1 >> 7) & 1,
             x: (!b1 >> 6) & 1,
             b: (!b1 >> 5) & 1,
         };
         map = b1 & 0x1F;
-        w = b2 & 0x80 != 0;
-        vvvv = (!b2 >> 3) & 0x0F;
-        l = b2 & 4 != 0;
-        pp = b2 & 3;
+        w = tail & 0x80 != 0;
     }
-    let op = d.u8()?;
-    match decode_vec_entry(d, true, map, pp, op, w, l, vvvv, bits) {
-        Some(res) => res,
-        None => d.err(format!("unknown VEX opcode map {map} pp {pp} {op:#04x}")),
-    }
+    Ok(Key {
+        vex: true,
+        map,
+        op: d.u8()?,
+        pp: tail & 3,
+        present: 0,
+        w,
+        l: tail & 4 != 0,
+        vvvv: (!tail >> 3) & 0x0F,
+        bits,
+        opsize: if w { Width::Q } else { Width::D },
+    })
 }
 
-/// Decodes the operands of a table entry. Returns `None` when no entry
-/// matches the `(vex, map, pp, opcode, W, L)` key.
-#[allow(clippy::too_many_arguments)] // the VEX field set is what it is
-fn decode_vec_entry(
+/// Decodes the operands of the table row `entry` selected for `k`.
+fn decode_row(
     d: &mut Decoder,
-    is_vex: bool,
-    map: u8,
-    pp: u8,
-    op: u8,
-    w: bool,
-    l: bool,
-    vvvv: u8,
-    bits: RexBits,
-) -> Option<Result<Instruction, DecodeError>> {
-    let entry = VEC_OPS.iter().find(|e| {
-        e.vex == is_vex
-            && e.map == map
-            && e.pp == pp
-            && e.op == op
-            && e.w.is_none_or(|req| req == w)
-            && match e.form {
-                VForm::Bare(req_l) => req_l == l,
-                _ => true,
-            }
-    })?;
-    let cl = if l { VecClass::Ymm } else { VecClass::Xmm };
-    let vreg = |index: u8, class: VecClass| Operand::Vec(VecReg { index, class });
-    let gw = if w { Width::Q } else { Width::D };
-    let m = entry.m;
-    let res = (|| {
-        Ok(match entry.form {
-            VForm::Rm => {
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(cl), Width::Q)?;
-                Instruction::binary(m, vreg(reg, cl), rm)
-            }
-            VForm::RmImm => {
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(cl), Width::Q)?;
-                let imm = d.u8()? as i64;
-                Instruction::with_operands(m, vec![vreg(reg, cl), rm, Operand::Imm(imm)])
-            }
-            VForm::Mr => {
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(cl), Width::Q)?;
-                Instruction::binary(m, rm, vreg(reg, cl))
-            }
-            VForm::Rvm => {
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(cl), Width::Q)?;
-                Instruction::with_operands(m, vec![vreg(reg, cl), vreg(vvvv, cl), rm])
-            }
-            VForm::RvmImm => {
-                if !l {
-                    return d.err(format!("{m} requires VEX.L = 1"));
-                }
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(cl), Width::Q)?;
-                let imm = d.u8()? as i64;
-                Instruction::with_operands(
-                    m,
-                    vec![vreg(reg, cl), vreg(vvvv, cl), rm, Operand::Imm(imm)],
-                )
-            }
-            VForm::VecRm => {
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Gpr(gw), Width::Q)?;
-                Instruction::binary(m, vreg(reg, VecClass::Xmm), rm)
-            }
-            VForm::RmVec => {
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Gpr(gw), Width::Q)?;
-                Instruction::binary(m, rm, vreg(reg, VecClass::Xmm))
-            }
-            VForm::GprVec => {
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(VecClass::Xmm), Width::Q)?;
-                Instruction::binary(m, gpr_op(reg, gw), rm)
-            }
-            VForm::GprRm => {
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Gpr(gw), gw)?;
-                Instruction::binary(m, gpr_op(reg, gw), rm)
-            }
-            VForm::ShiftImm(ext) => {
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(VecClass::Xmm), Width::Q)?;
-                if reg & 7 != ext {
-                    return d.err(format!(
-                        "unsupported {op:#04x} group extension /{}",
-                        reg & 7
-                    ));
-                }
-                if !matches!(rm, Operand::Vec(_)) {
-                    return d.err("vector shift-by-immediate needs a register operand");
-                }
-                let imm = d.u8()? as i64;
-                Instruction::binary(m, rm, Operand::Imm(imm))
-            }
-            VForm::BcastRm => {
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(VecClass::Xmm), Width::Q)?;
-                Instruction::binary(m, vreg(reg, cl), rm)
-            }
-            VForm::InsertImm => {
-                if !l {
-                    return d.err(format!("{m} requires VEX.L = 1"));
-                }
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(VecClass::Xmm), Width::Q)?;
-                let imm = d.u8()? as i64;
-                Instruction::with_operands(
-                    m,
-                    vec![
-                        vreg(reg, VecClass::Ymm),
-                        vreg(vvvv, VecClass::Ymm),
-                        rm,
-                        Operand::Imm(imm),
-                    ],
-                )
-            }
-            VForm::ExtractImm => {
-                if !l {
-                    return d.err(format!("{m} requires VEX.L = 1"));
-                }
-                let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(VecClass::Xmm), Width::Q)?;
-                let imm = d.u8()? as i64;
-                Instruction::with_operands(m, vec![rm, vreg(reg, VecClass::Ymm), Operand::Imm(imm)])
-            }
-            VForm::Bare(_) => Instruction::new(m),
-        })
-    })();
-    Some(res)
-}
-
-fn decode_0f(
-    d: &mut Decoder,
-    p: &Prefixes,
-    w: Width,
+    entry: &Op,
+    k: &Key,
     on_branch: &mut dyn FnMut(usize),
 ) -> Result<Instruction, DecodeError> {
-    let op = d.u8()?;
-    // The 0F 38 / 0F 3A escape maps and the prefix-selected SSE opcodes in
-    // the 0F map live in the vector-op table; everything the table does not
-    // know falls through to the GPR/system decoding below.
-    if op == 0x38 || op == 0x3A {
-        let map = if op == 0x38 { MAP_0F38 } else { MAP_0F3A };
-        let op2 = d.u8()?;
-        return match decode_vec_entry(d, false, map, p.pp(), op2, p.w(), false, 0, p.bits()) {
-            Some(res) => res,
-            None => d.err(format!("unknown opcode 0f {op:02x} {op2:#04x}")),
-        };
-    }
-    if let Some(res) = decode_vec_entry(d, false, MAP_0F, p.pp(), op, p.w(), false, 0, p.bits()) {
-        return res;
-    }
-    let inst = match op {
-        0xA2 => Instruction::new(Mnemonic::Cpuid),
-        0x31 => Instruction::new(Mnemonic::Rdtsc),
-        0x33 => Instruction::new(Mnemonic::Rdpmc),
-        0x32 => Instruction::new(Mnemonic::Rdmsr),
-        0x30 => Instruction::new(Mnemonic::Wrmsr),
-        0x09 => Instruction::new(Mnemonic::Wbinvd),
-        0x08 => Instruction::new(Mnemonic::Invd),
-        0x01 => {
-            let next = d.u8()?;
-            match next {
-                0xF8 => Instruction::new(Mnemonic::Swapgs),
-                0xF9 => Instruction::new(Mnemonic::Rdtscp),
-                _ => {
-                    // INVLPG has a memory ModRM with extension 7; rewind one
-                    // byte and decode it properly.
-                    d.pos -= 1;
-                    let (ext, rm) = decode_modrm(d, p, Width::Q)?;
-                    if ext & 7 == 7 {
-                        Instruction::unary(Mnemonic::Invlpg, rm)
-                    } else {
-                        return d.err("unsupported 0F 01 form");
-                    }
-                }
-            }
+    let (bits, l, vvvv) = (k.bits, k.l, k.vvvv);
+    let cl = if l { VecClass::Ymm } else { VecClass::Xmm };
+    let vreg = |index: u8, class: VecClass| Operand::Vec(VecReg { index, class });
+    let gw = if k.w { Width::Q } else { Width::D };
+    let m = entry.m;
+    Ok(match entry.form {
+        Form::Bare(_) => Instruction::new(m),
+        Form::Fixed(_) => {
+            d.u8()?;
+            Instruction::new(m)
         }
-        0x22 => {
-            let (ext, rm) = decode_modrm(d, p, Width::Q)?;
-            if ext & 7 == 3 {
-                Instruction::unary(Mnemonic::MovCr3, rm)
-            } else {
-                return d.err("only CR3 moves are supported");
-            }
-        }
-        0xAE => {
-            let next = d.u8()?;
-            match next {
-                0xE8 => Instruction::new(Mnemonic::Lfence),
-                0xF0 => Instruction::new(Mnemonic::Mfence),
-                0xF8 => Instruction::new(Mnemonic::Sfence),
-                _ => {
-                    d.pos -= 1;
-                    let (ext, rm) = decode_modrm(d, p, Width::Q)?;
-                    if ext & 7 == 7 {
-                        if p.p66 {
-                            Instruction::unary(Mnemonic::Clflushopt, rm)
-                        } else {
-                            Instruction::unary(Mnemonic::Clflush, rm)
-                        }
-                    } else {
-                        return d.err("unsupported 0F AE form");
-                    }
-                }
-            }
-        }
-        0x18 => {
-            let (ext, rm) = decode_modrm(d, p, Width::Q)?;
-            let mnem = match ext & 7 {
-                0 => Mnemonic::Prefetchnta,
-                1 => Mnemonic::Prefetcht0,
-                2 => Mnemonic::Prefetcht1,
-                3 => Mnemonic::Prefetcht2,
-                _ => return d.err("unsupported prefetch hint"),
+        Form::GRm(wr, src) => {
+            let w = wr.decoded(k.opsize);
+            let sw = match src {
+                Src::Same => w,
+                Src::Narrow(n) => n,
+                Src::Addr => Width::Q,
             };
-            Instruction::unary(mnem, rm)
+            let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Gpr(sw), sw)?;
+            Instruction::binary(m, gpr_op(reg, w), rm)
         }
-        0xAF => {
-            let (reg, rm) = decode_modrm(d, p, w)?;
-            Instruction::binary(Mnemonic::Imul, gpr_op(reg, w), rm)
+        Form::GMr(wr) => {
+            let w = wr.decoded(k.opsize);
+            let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Gpr(w), w)?;
+            Instruction::binary(m, rm, gpr_op(reg, w))
         }
-        0xB6 | 0xB7 => {
-            let sw = if op == 0xB6 { Width::B } else { Width::W };
-            let (reg, rm) = decode_modrm(d, p, sw)?;
-            Instruction::binary(Mnemonic::Movzx, gpr_op(reg, w), rm)
+        Form::GM(wr, _, imm) => {
+            let w = wr.decoded(k.opsize);
+            let (_, rm) = decode_modrm_bits(d, bits, RmClass::Gpr(w), w)?;
+            with_imm(d, m, rm, imm, w)?
         }
-        0xBE | 0xBF => {
-            let sw = if op == 0xBE { Width::B } else { Width::W };
-            let (reg, rm) = decode_modrm(d, p, sw)?;
-            Instruction::binary(Mnemonic::Movsx, gpr_op(reg, w), rm)
+        Form::GReg(wr, _) => {
+            let w = wr.decoded(k.opsize);
+            let (_, rm) = decode_modrm_bits(d, bits, RmClass::Gpr(w), w)?;
+            Instruction::unary(m, rm)
         }
-        0xB8 if p.f3 => {
-            let (reg, rm) = decode_modrm(d, p, w)?;
-            Instruction::binary(Mnemonic::Popcnt, gpr_op(reg, w), rm)
+        Form::Mem(_) => {
+            let (_, rm) = decode_modrm_bits(d, bits, RmClass::Gpr(Width::Q), Width::Q)?;
+            Instruction::unary(m, rm)
         }
-        0xBC => {
-            let (reg, rm) = decode_modrm(d, p, w)?;
-            let mnem = if p.f3 { Mnemonic::Tzcnt } else { Mnemonic::Bsf };
-            Instruction::binary(mnem, gpr_op(reg, w), rm)
+        Form::O(wr, imm) => {
+            let w = wr.decoded(k.opsize);
+            with_imm(d, m, gpr_op((k.op & 7) | (bits.b << 3), w), imm, w)?
         }
-        0xBD => {
-            let (reg, rm) = decode_modrm(d, p, w)?;
-            let mnem = if p.f3 { Mnemonic::Lzcnt } else { Mnemonic::Bsr };
-            Instruction::binary(mnem, gpr_op(reg, w), rm)
+        Form::Rel(n) => {
+            let rel = d.int(n)?;
+            on_branch((d.pos as i64 + rel) as usize);
+            Instruction::unary(m, Operand::Label(usize::MAX))
         }
-        0xC0 | 0xC1 => {
-            let width = if op == 0xC0 { Width::B } else { w };
-            let (reg, rm) = decode_modrm(d, p, width)?;
-            Instruction::binary(Mnemonic::Xadd, rm, gpr_op(reg, width))
+        Form::Rm => {
+            let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(cl), Width::Q)?;
+            Instruction::binary(m, vreg(reg, cl), rm)
         }
-        0xC8..=0xCF => Instruction::unary(Mnemonic::Bswap, gpr_op((op - 0xC8) | (p.b() << 3), w)),
-        0x44 | 0x45 => {
-            let (reg, rm) = decode_modrm(d, p, w)?;
-            let mnem = if op == 0x44 {
-                Mnemonic::Cmovz
-            } else {
-                Mnemonic::Cmovnz
-            };
-            Instruction::binary(mnem, gpr_op(reg, w), rm)
+        Form::RmImm => {
+            let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(cl), Width::Q)?;
+            let imm = d.u8()? as i64;
+            Instruction::with_operands(m, vec![vreg(reg, cl), rm, Operand::Imm(imm)])
         }
-        0x94 | 0x95 => {
-            let (_, rm) = decode_modrm(d, p, Width::B)?;
-            let mnem = if op == 0x94 {
-                Mnemonic::Setz
-            } else {
-                Mnemonic::Setnz
-            };
-            Instruction::unary(mnem, rm)
+        Form::Mr => {
+            let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(cl), Width::Q)?;
+            Instruction::binary(m, rm, vreg(reg, cl))
         }
-        0xC7 => {
-            let (ext, rm) = decode_modrm(d, p, w)?;
-            match ext & 7 {
-                6 => Instruction::unary(Mnemonic::Rdrand, rm),
-                7 => Instruction::unary(Mnemonic::Rdseed, rm),
-                _ => return d.err("unsupported 0F C7 form"),
+        Form::Rvm => {
+            let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(cl), Width::Q)?;
+            Instruction::with_operands(m, vec![vreg(reg, cl), vreg(vvvv, cl), rm])
+        }
+        Form::RvmImm => {
+            if !l {
+                return d.err(format!("{m} requires VEX.L = 1"));
             }
+            let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(cl), Width::Q)?;
+            let imm = d.u8()? as i64;
+            Instruction::with_operands(
+                m,
+                vec![vreg(reg, cl), vreg(vvvv, cl), rm, Operand::Imm(imm)],
+            )
         }
-        0x82..=0x85 => {
-            let rel = d.i32()? as i64;
-            let target = (d.pos as i64 + rel) as usize;
-            on_branch(target);
-            let mnem = match op {
-                0x82 => Mnemonic::Jc,
-                0x83 => Mnemonic::Jnc,
-                0x84 => Mnemonic::Jz,
-                _ => Mnemonic::Jnz,
-            };
-            Instruction::unary(mnem, Operand::Label(usize::MAX))
+        Form::VecRm => {
+            let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Gpr(gw), Width::Q)?;
+            Instruction::binary(m, vreg(reg, VecClass::Xmm), rm)
         }
-        _ => return d.err(format!("unknown opcode 0f {op:#04x}")),
-    };
-    Ok(inst)
+        Form::RmVec => {
+            let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Gpr(gw), Width::Q)?;
+            Instruction::binary(m, rm, vreg(reg, VecClass::Xmm))
+        }
+        Form::GprVec => {
+            let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(VecClass::Xmm), Width::Q)?;
+            Instruction::binary(m, gpr_op(reg, gw), rm)
+        }
+        Form::ShiftImm(_) => {
+            let (_, rm) = decode_modrm_bits(d, bits, RmClass::Vec(VecClass::Xmm), Width::Q)?;
+            let imm = d.u8()? as i64;
+            Instruction::binary(m, rm, Operand::Imm(imm))
+        }
+        Form::BcastRm => {
+            let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(VecClass::Xmm), Width::Q)?;
+            Instruction::binary(m, vreg(reg, cl), rm)
+        }
+        Form::InsertImm => {
+            if !l {
+                return d.err(format!("{m} requires VEX.L = 1"));
+            }
+            let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(VecClass::Xmm), Width::Q)?;
+            let imm = d.u8()? as i64;
+            Instruction::with_operands(
+                m,
+                vec![
+                    vreg(reg, VecClass::Ymm),
+                    vreg(vvvv, VecClass::Ymm),
+                    rm,
+                    Operand::Imm(imm),
+                ],
+            )
+        }
+        Form::ExtractImm => {
+            if !l {
+                return d.err(format!("{m} requires VEX.L = 1"));
+            }
+            let (reg, rm) = decode_modrm_bits(d, bits, RmClass::Vec(VecClass::Xmm), Width::Q)?;
+            let imm = d.u8()? as i64;
+            Instruction::with_operands(m, vec![rm, vreg(reg, VecClass::Ymm), Operand::Imm(imm)])
+        }
+    })
+}
+
+/// `m op` or, with an immediate, `m op, imm`.
+fn with_imm(
+    d: &mut Decoder,
+    m: Mnemonic,
+    op: Operand,
+    imm: Option<Imm>,
+    w: Width,
+) -> Result<Instruction, DecodeError> {
+    Ok(match imm {
+        None => Instruction::unary(m, op),
+        Some(imm) => Instruction::binary(m, op, Operand::Imm(imm.decode(d, w)?)),
+    })
 }
 
 /// Scans code bytes for the magic pause/resume markers (§III-I).
