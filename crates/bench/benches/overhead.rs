@@ -9,6 +9,10 @@
 //!   whole machine per benchmark, (b) on one reused session, and (c)
 //!   fanned out across campaign workers. Session reuse must beat
 //!   rebuild-per-run.
+//! * `session_reset` — the fixed cost a campaign pays before every job,
+//!   store hits included: `Session::reset_with_seed` on a session a run
+//!   has dirtied. A reset only starts a new cache epoch, so it should not
+//!   grow with the L3 (Haswell's is the largest to rewind eagerly).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nanobench_core::{BenchSpec, Campaign, Session, NB_SEED};
@@ -108,5 +112,28 @@ fn bench_campaign(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_overhead, bench_campaign);
+fn bench_reset(c: &mut Criterion) {
+    let mut group = c.benchmark_group("session_reset");
+    group.sample_size(10);
+    let specs = campaign_specs();
+    for (name, uarch) in [
+        ("skylake_after_run", MicroArch::Skylake),
+        ("haswell_after_run", MicroArch::Haswell),
+    ] {
+        let mut session = Session::kernel(uarch);
+        for spec in &specs {
+            session.run(spec).expect("runs");
+        }
+        let mut seed = NB_SEED;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                seed += 1;
+                session.reset_with_seed(seed);
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_overhead, bench_campaign, bench_reset);
 criterion_main!(benches);

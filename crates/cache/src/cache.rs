@@ -13,7 +13,12 @@ pub const LINE_SIZE: u64 = 64;
 /// derive it identically, so a reset replays construction).
 pub(crate) const POLICY_B_SEED_SALT: u64 = 0xB00B;
 
-/// Per-set seed derivation used by [`Cache::new`] and [`Cache::reset_seeded`].
+/// How a cache derives set `set`'s policy seed from its cache seed. The
+/// cache keeps the rule, so a set rewound lazily after a reset replays the
+/// random stream construction gave it.
+pub type SetSeedFn = fn(u64, usize) -> u64;
+
+/// Per-set seed derivation used by [`Cache::new`].
 fn derive_set_seed(cache_seed: u64, set: usize) -> u64 {
     cache_seed ^ (set as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
@@ -288,12 +293,28 @@ impl DuelingSet {
     }
 }
 
+/// Per-set bookkeeping, kept together so the stale-set check reads the
+/// same word as the MRU probe that follows it.
+#[derive(Debug, Clone, Copy, Default)]
+struct SetHead {
+    /// The reset epoch the set was last brought up to date in; a set
+    /// whose epoch is not the cache's is logically empty.
+    epoch: u32,
+    /// Most-recently-hit (or filled) way, probed before the scan.
+    mru: u8,
+}
+
 /// A single set-associative cache level (or one L3 slice).
 ///
 /// Storage is struct-of-arrays: one contiguous tag arena and one packed
 /// 2-bit MESI arena for the whole cache, indexed `set * assoc + way`, so
 /// the per-access probe walks one dense cache-line-friendly span instead
 /// of chasing per-set `Vec` allocations.
+///
+/// A reset is O(1): it starts a new epoch, which makes every set stale.
+/// Readers see a stale set as empty and leave it alone; the first access
+/// or fill that lands in it rewinds it (empties its ways, reseeds its
+/// policy from the cache seed via the per-set seed rule) before going on.
 #[derive(Debug, Clone)]
 pub struct Cache {
     /// Block number per way ([`TAG_INVALID`] marks an empty way), indexed
@@ -303,12 +324,19 @@ pub struct Cache {
     /// `set * assoc + way` indexing; meaningful only where the tag is
     /// valid.
     states: Vec<u8>,
-    /// Most-recently-hit (or filled) way per set, probed before the scan.
-    mru_way: Vec<u8>,
+    heads: Vec<SetHead>,
     policies: Vec<PolicySlot>,
     assoc: usize,
     set_bits: u32,
     stats: CacheStats,
+    /// The cache seed of the current epoch; `set_seed` derives each set's
+    /// policy seed from it.
+    seed: u64,
+    set_seed: SetSeedFn,
+    /// Bumped by every reset.
+    epoch: u32,
+    /// Sets rewound since construction (cumulative across resets).
+    sets_reset: u64,
 }
 
 impl Cache {
@@ -337,16 +365,21 @@ impl Cache {
             .size_bytes
             .checked_div(config.assoc as u64 * LINE_SIZE)
             .unwrap_or(0);
-        Cache::with_policies(num_sets as usize, config.assoc, |set| {
-            config
-                .policy
-                .try_instantiate(config.assoc, derive_set_seed(seed, set))
-        })
+        Cache::with_policies(
+            num_sets as usize,
+            config.assoc,
+            seed,
+            derive_set_seed,
+            |_, set_seed| config.policy.try_instantiate(config.assoc, set_seed),
+        )
     }
 
     /// Builds a cache with a custom per-set policy factory (set dueling
     /// passes [`DuelingSet::try_new`], where leader and follower sets
-    /// differ).
+    /// differ). `factory(set, set_seed(seed, set))` builds set `set`'s
+    /// policy; a reset rewinds it with `set_seed` applied to the new
+    /// cache seed, so the factory must seed the policy with the seed it
+    /// is given.
     ///
     /// # Errors
     ///
@@ -356,7 +389,9 @@ impl Cache {
     pub fn with_policies(
         num_sets: usize,
         assoc: usize,
-        mut factory: impl FnMut(usize) -> Result<PolicySlot, String>,
+        seed: u64,
+        set_seed: SetSeedFn,
+        mut factory: impl FnMut(usize, u64) -> Result<PolicySlot, String>,
     ) -> Result<Cache, String> {
         if !num_sets.is_power_of_two() {
             return Err(format!("set count must be a power of two, got {num_sets}"));
@@ -370,17 +405,21 @@ impl Cache {
         // doubling, copying every slot of an L3 slice several times.
         let mut policies = Vec::with_capacity(num_sets);
         for set in 0..num_sets {
-            policies.push(factory(set)?);
+            policies.push(factory(set, set_seed(seed, set))?);
         }
         let ways = num_sets * assoc;
         Ok(Cache {
             tags: vec![TAG_INVALID; ways],
             states: vec![0; ways.div_ceil(4)],
-            mru_way: vec![0; num_sets],
+            heads: vec![SetHead::default(); num_sets],
             policies,
             assoc,
             set_bits: num_sets.trailing_zeros(),
             stats: CacheStats::default(),
+            seed,
+            set_seed,
+            epoch: 0,
+            sets_reset: 0,
         })
     }
 
@@ -398,18 +437,62 @@ impl Cache {
         *byte = (*byte & !(0b11 << shift)) | ((state as u8) << shift);
     }
 
-    /// Scans `set` for `block`, probing the most-recently-used way first
-    /// (the probe is exact: a set never holds duplicate tags).
+    /// Whether `set` holds this epoch's contents (a stale set is logically
+    /// empty until its first mutating access rewinds it).
     #[inline]
-    fn find_way(&self, set: usize, block: u64) -> Option<usize> {
+    fn is_current(&self, set: usize) -> bool {
+        self.heads[set].epoch == self.epoch
+    }
+
+    /// Brings `set` up to date before a mutating access.
+    #[inline]
+    fn refresh(&mut self, set: usize) {
+        if !self.is_current(set) {
+            self.rewind(set);
+        }
+    }
+
+    /// Restores `set` to its just-built state for the current epoch: no
+    /// valid ways, MRU hint 0, and the policy reseeded exactly as
+    /// construction seeded it for the current cache seed.
+    #[cold]
+    #[inline(never)]
+    fn rewind(&mut self, set: usize) {
         let base = set * self.assoc;
-        let mru = self.mru_way[set] as usize;
+        self.tags[base..base + self.assoc].fill(TAG_INVALID);
+        for idx in base..base + self.assoc {
+            self.set_state_at(idx, LineState::Invalid);
+        }
+        self.policies[set].reset((self.set_seed)(self.seed, set));
+        self.heads[set] = SetHead {
+            epoch: self.epoch,
+            mru: 0,
+        };
+        self.sets_reset += 1;
+    }
+
+    /// Scans a current `set` for `block`, probing the most-recently-used
+    /// way first (the probe is exact: a set never holds duplicate tags).
+    #[inline]
+    fn scan(&self, set: usize, block: u64) -> Option<usize> {
+        let base = set * self.assoc;
+        let mru = self.heads[set].mru as usize;
         if self.tags[base + mru] == block {
             return Some(mru);
         }
         self.tags[base..base + self.assoc]
             .iter()
             .position(|&t| t == block)
+    }
+
+    /// [`Cache::scan`] for readers: a stale set holds nothing.
+    #[inline]
+    fn find_way(&self, set: usize, block: u64) -> Option<usize> {
+        if self.is_current(set) {
+            self.scan(set, block)
+        } else {
+            None
+        }
     }
 
     /// Writes the per-way occupancy of `set` into `buf` and returns the
@@ -464,7 +547,8 @@ impl Cache {
     /// [`Cache::access_with_state`] on a block number in `set`.
     #[inline]
     pub(crate) fn access_block(&mut self, set: usize, block: u64) -> Option<LineState> {
-        if let Some(way) = self.find_way(set, block) {
+        self.refresh(set);
+        if let Some(way) = self.scan(set, block) {
             if self.policies[set].wants_occupied_on_hit() {
                 let mut occ = [false; MAX_ASSOC];
                 self.occupied(set, &mut occ);
@@ -472,7 +556,7 @@ impl Cache {
             } else {
                 self.policies[set].on_hit(way, &[]);
             }
-            self.mru_way[set] = way as u8;
+            self.heads[set].mru = way as u8;
             self.stats.hits += 1;
             Some(self.state_at(set * self.assoc + way))
         } else {
@@ -501,8 +585,9 @@ impl Cache {
     /// evicted block number.
     #[inline]
     pub(crate) fn fill_block(&mut self, set: usize, block: u64, state: LineState) -> Option<u64> {
+        self.refresh(set);
         let base = set * self.assoc;
-        if let Some(way) = self.find_way(set, block) {
+        if let Some(way) = self.scan(set, block) {
             self.set_state_at(base + way, state); // already present (e.g. racing prefetch)
             return None;
         }
@@ -512,7 +597,7 @@ impl Cache {
         let evicted = self.tags[base + way];
         self.tags[base + way] = block;
         self.set_state_at(base + way, state);
-        self.mru_way[set] = way as u8;
+        self.heads[set].mru = way as u8;
         if evicted == TAG_INVALID {
             None
         } else {
@@ -572,11 +657,17 @@ impl Cache {
         }
     }
 
-    /// Flushes the entire cache (as `WBINVD` does).
+    /// Flushes the entire cache (as `WBINVD` does). Stale sets are first
+    /// rewound, so each policy sees the flush in its current-epoch state.
     pub fn flush_all(&mut self) {
+        for set in 0..self.num_sets() {
+            self.refresh(set);
+        }
         self.tags.fill(TAG_INVALID);
         self.states.fill(0);
-        self.mru_way.fill(0);
+        for head in &mut self.heads {
+            head.mru = 0;
+        }
         for policy in &mut self.policies {
             policy.on_flush();
         }
@@ -592,39 +683,67 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// Restores the just-built state in place: empties every set, rewinds
-    /// every per-set policy (deriving its seed via `per_set_seed`, which
-    /// must match the derivation used at construction), and zeroes the
-    /// statistics — all without dropping the tag or policy allocations.
-    pub fn reset_with(&mut self, mut per_set_seed: impl FnMut(usize) -> u64) {
-        self.tags.fill(TAG_INVALID);
-        self.states.fill(0);
-        self.mru_way.fill(0);
-        for (s, policy) in self.policies.iter_mut().enumerate() {
-            policy.reset(per_set_seed(s));
-        }
+    /// Restores the state construction built for `cache_seed` (pass the
+    /// seed given at construction to replay it, or another to restart as
+    /// if built with that one) and zeroes the statistics, in O(1): the
+    /// reset only starts a new epoch. Every set is then stale — readers
+    /// see it as empty, and its first access or fill rewinds it, with the
+    /// per-set seed construction derives from `cache_seed` — so the cache
+    /// behaves bit-identically to a fresh one, allocations kept. When the
+    /// epoch counter wraps (once per 2^32 resets) every set is rewound
+    /// eagerly instead.
+    pub fn reset_seeded(&mut self, cache_seed: u64) {
+        self.seed = cache_seed;
         self.stats = CacheStats::default();
+        match self.epoch.checked_add(1) {
+            Some(epoch) => self.epoch = epoch,
+            None => {
+                self.epoch = 0;
+                for set in 0..self.num_sets() {
+                    self.rewind(set);
+                }
+            }
+        }
     }
 
-    /// [`Cache::reset_with`] using the same per-set seed derivation as
-    /// [`Cache::new`]; pass the cache seed that was passed there.
-    pub fn reset_seeded(&mut self, cache_seed: u64) {
-        self.reset_with(|set| derive_set_seed(cache_seed, set));
+    /// Sets rewound since construction: the work resets actually caused.
+    /// Cumulative (a reset does not zero it), and reads never add to it.
+    pub fn sets_reset(&self) -> u64 {
+        self.sets_reset
+    }
+
+    /// Moves the cache to reset epoch `epoch` with every set current, as
+    /// if it had been reset that many times and every set touched since.
+    #[cfg(test)]
+    pub(crate) fn start_epoch_at(&mut self, epoch: u32) {
+        self.epoch = epoch;
+        for head in &mut self.heads {
+            head.epoch = epoch;
+        }
     }
 
     /// Iterates over every valid line as `(paddr, state)` pairs (the
-    /// paddr is the line's base address). Used by the hierarchy's
-    /// full-state coherence audit.
+    /// paddr is the line's base address), skipping stale sets. Used by
+    /// the hierarchy's full-state coherence audit.
     pub fn valid_lines(&self) -> impl Iterator<Item = (u64, LineState)> + '_ {
         self.tags
-            .iter()
+            .chunks_exact(self.assoc)
             .enumerate()
-            .filter(|&(_, &t)| t != TAG_INVALID)
-            .map(|(i, &t)| (t * LINE_SIZE, self.state_at(i)))
+            .filter(|&(set, _)| self.is_current(set))
+            .flat_map(move |(set, ways)| {
+                ways.iter()
+                    .enumerate()
+                    .filter(|&(_, &t)| t != TAG_INVALID)
+                    .map(move |(way, &t)| (t * LINE_SIZE, self.state_at(set * self.assoc + way)))
+            })
     }
 
-    /// The blocks currently cached in `set` (by way).
+    /// The blocks currently cached in `set` (by way; a stale set is
+    /// empty).
     pub fn set_contents(&self, set: usize) -> Vec<Option<u64>> {
+        if !self.is_current(set) {
+            return vec![None; self.assoc];
+        }
         let base = set * self.assoc;
         self.tags[base..base + self.assoc]
             .iter()
@@ -711,6 +830,57 @@ mod tests {
         c.fill(0x40);
         c.flush_all();
         assert!(!c.probe(0x40));
+    }
+
+    #[test]
+    fn reset_across_epoch_wrap_equals_fresh_cache() {
+        // A cache reset in place must behave like one freshly built for
+        // the new seed, including across the epoch wrap, where the reset
+        // falls back to rewinding every set eagerly.
+        use rand::{Rng, SeedableRng};
+        for policy in ["QLRU_H11_MR161_R1_U2", "RANDOM"] {
+            let config = CacheConfig {
+                size_bytes: 4 * 64 * 8, // 8 sets x 4 ways
+                assoc: 4,
+                policy: PolicyKind::parse(policy).unwrap(),
+            };
+            let mut cache = Cache::new(&config, 1);
+            cache.start_epoch_at(u32::MAX - 1);
+            let mut fresh = Cache::new(&config, 1);
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+            let mut rewinds = 0;
+            let mut stale = [false; 8];
+            for seed in 2..6u64 {
+                for _ in 0..300 {
+                    let paddr = rng.gen_range(0..64u64) * LINE_SIZE;
+                    let set = cache.set_index(paddr);
+                    rewinds += u64::from(std::mem::take(&mut stale[set]));
+                    let hit = cache.access(paddr);
+                    assert_eq!(hit, fresh.access(paddr), "{policy}: seed {seed}");
+                    if !hit {
+                        assert_eq!(cache.fill(paddr), fresh.fill(paddr), "{policy}");
+                    }
+                    assert_eq!(cache.sets_reset(), rewinds, "{policy}: rewinds");
+                }
+                for set in 0..8 {
+                    assert_eq!(cache.set_contents(set), fresh.set_contents(set));
+                }
+                assert_eq!(cache.stats(), fresh.stats());
+                let wraps = cache.epoch == u32::MAX;
+                cache.reset_seeded(seed);
+                fresh = Cache::new(&config, seed);
+                if wraps {
+                    // The eager fallback rewinds all 8 sets at once.
+                    assert_eq!(cache.epoch, 0);
+                    rewinds += 8;
+                    assert_eq!(cache.sets_reset(), rewinds, "{policy}: eager reset");
+                } else {
+                    stale = [true; 8];
+                }
+                assert_eq!(cache.valid_lines().count(), 0, "{policy}: reset empties");
+            }
+            assert_eq!(cache.epoch, 2, "{policy}: the trace crossed the wrap");
+        }
     }
 
     #[test]

@@ -359,6 +359,16 @@ fn core_salt(core: usize) -> u64 {
     (core as u64) << 40
 }
 
+/// The cache seed of L3 slice `slice`.
+fn slice_seed(seed: u64, slice: usize) -> u64 {
+    seed ^ ((slice as u64 + 1) << 48)
+}
+
+/// The per-set seed rule of an L3 slice.
+fn l3_set_seed(slice_seed: u64, set: usize) -> u64 {
+    slice_seed ^ set as u64
+}
+
 impl PrivateCaches {
     fn try_new(
         config: &HierarchyConfig,
@@ -474,29 +484,37 @@ impl CacheHierarchy {
         let assoc = config.l3.assoc;
         let mut l3 = Vec::with_capacity(config.l3.slices);
         for slice in 0..config.l3.slices {
-            let slice_seed = seed ^ ((slice as u64 + 1) << 48);
+            let slice_seed = slice_seed(seed, slice);
             let cache = match &config.l3.policy {
-                L3PolicyConfig::Uniform(kind) => {
-                    Cache::with_policies(sets_per_slice, assoc, |set| {
-                        kind.try_instantiate(assoc, slice_seed ^ set as u64)
-                    })
-                }
+                L3PolicyConfig::Uniform(kind) => Cache::with_policies(
+                    sets_per_slice,
+                    assoc,
+                    slice_seed,
+                    l3_set_seed,
+                    |_, set_seed| kind.try_instantiate(assoc, set_seed),
+                ),
                 L3PolicyConfig::Adaptive {
                     policy_a,
                     policy_b,
                     leaders,
                 } => {
                     let slice_leaders = leaders.get(slice).cloned().unwrap_or_default();
-                    Cache::with_policies(sets_per_slice, assoc, |set| {
-                        DuelingSet::try_new(
-                            slice_leaders.role_of(set),
-                            policy_a,
-                            policy_b,
-                            assoc,
-                            slice_seed ^ set as u64,
-                            &psel,
-                        )
-                    })
+                    Cache::with_policies(
+                        sets_per_slice,
+                        assoc,
+                        slice_seed,
+                        l3_set_seed,
+                        |set, set_seed| {
+                            DuelingSet::try_new(
+                                slice_leaders.role_of(set),
+                                policy_a,
+                                policy_b,
+                                assoc,
+                                set_seed,
+                                &psel,
+                            )
+                        },
+                    )
                 }
             };
             l3.push(cache.map_err(HierarchyError::level("L3"))?);
@@ -1114,6 +1132,22 @@ impl CacheHierarchy {
         self.cores[core].l2.stats()
     }
 
+    /// Sets rewound after a reset, summed over every core's L1 and L2 and
+    /// every L3 slice ([`Cache::sets_reset`]): the exact work resets have
+    /// caused since construction. Cumulative; reads never add to it.
+    pub fn sets_reset(&self) -> u64 {
+        self.caches().map(Cache::sets_reset).sum()
+    }
+
+    /// Every cache of the hierarchy, read-only: each core's L1 and L2 in
+    /// core order, then the L3 slices.
+    pub fn caches(&self) -> impl Iterator<Item = &Cache> + '_ {
+        self.cores
+            .iter()
+            .flat_map(|c| [&c.l1, &c.l2])
+            .chain(&self.l3)
+    }
+
     /// Combined L3 statistics across slices.
     pub fn l3_stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
@@ -1134,6 +1168,12 @@ impl CacheHierarchy {
     /// uncore counters. Pass the seed the hierarchy was built with to
     /// replay bit-identically, or a different one to restart it as if
     /// freshly built with that seed.
+    ///
+    /// The cost does not grow with cache size: each cache only starts a
+    /// new epoch ([`Cache::reset_seeded`]). Its sets go stale — probes,
+    /// state reads, snoops and the coherence audit see them as empty —
+    /// and each is rewound on the first access or fill that lands in it
+    /// ([`CacheHierarchy::sets_reset`] counts those rewinds).
     pub fn reset(&mut self, seed: u64) {
         for (i, core) in self.cores.iter_mut().enumerate() {
             core.l1.reset_seeded(seed ^ 0x11 ^ core_salt(i));
@@ -1141,8 +1181,7 @@ impl CacheHierarchy {
             core.prefetchers.reset();
         }
         for (slice, cache) in self.l3.iter_mut().enumerate() {
-            let slice_seed = seed ^ ((slice as u64 + 1) << 48);
-            cache.reset_with(|set| slice_seed ^ set as u64);
+            cache.reset_seeded(slice_seed(seed, slice));
         }
         self.psel.reset();
         self.uncore_lookups.fill(0);

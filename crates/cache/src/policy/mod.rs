@@ -378,7 +378,13 @@ impl SetSim {
     /// [`MAX_ASSOC`](crate::cache::MAX_ASSOC).
     pub fn try_new(kind: &PolicyKind, assoc: usize, seed: u64) -> Result<SetSim, String> {
         Ok(SetSim {
-            cache: Cache::with_policies(1, assoc, |_| kind.try_instantiate(assoc, seed))?,
+            cache: Cache::with_policies(
+                1,
+                assoc,
+                seed,
+                |seed, _| seed,
+                |_, seed| kind.try_instantiate(assoc, seed),
+            )?,
             max_alias: None,
         })
     }

@@ -7,9 +7,15 @@
 //! slice on hits, i.e. it does not use the `wants_occupied_on_hit` fast
 //! path, has no MRU-way probe, and no packed state words. Agreement on
 //! every observable (hit/miss + MESI state, eviction victim, invalidation
-//! result, stats, final contents) pins the storage layout, the
-//! `PolicySlot` factory and enum dispatch as behaviour-preserving across
-//! the whole policy library, set dueling included.
+//! result, stats, contents) pins the storage layout, the `PolicySlot`
+//! factory and enum dispatch as behaviour-preserving across the whole
+//! policy library, set dueling included.
+//!
+//! The streams also interleave resets with fresh seeds. The arena resets
+//! in place (an O(1) epoch bump, with sets rewound lazily on first touch);
+//! the oracle is never reset but built afresh for the new seed, so
+//! agreement after every op pins the lazy rewind — stale sets reading as
+//! empty, per-set reseeding of the random streams — against construction.
 
 use std::sync::Arc;
 
@@ -32,7 +38,8 @@ const BLOCK_SPAN: u64 = 32;
 /// stream from its policy-A stream.
 const B_SEED_SALT: u64 = 0xB00B;
 
-/// Per-set seed derivation applied identically to both models (the
+/// Per-set seed derivation applied identically to both models: the arena
+/// keeps it as its seed rule, the oracle calls it at every rebuild (the
 /// cache-internal derivation is private, which is fine: equivalence only
 /// needs symmetry, not the same constants).
 fn set_seed(case_seed: u64, set: usize) -> u64 {
@@ -80,7 +87,7 @@ impl SetPolicy for NaiveLeader {
         self.inner.on_flush();
     }
     fn reset(&mut self, _seed: u64) {
-        unreachable!("the oracle is never reset")
+        unreachable!("the oracle is rebuilt, never reset")
     }
 }
 
@@ -118,7 +125,7 @@ impl SetPolicy for NaiveFollower {
         self.b.on_flush();
     }
     fn reset(&mut self, _seed: u64) {
-        unreachable!("the oracle is never reset")
+        unreachable!("the oracle is rebuilt, never reset")
     }
 }
 
@@ -132,12 +139,15 @@ struct NaiveSet {
 struct NaiveCache {
     sets: Vec<NaiveSet>,
     stats: CacheStats,
+    /// The PSEL counter the dueling sets share (`None` for uniform caches).
+    psel: Option<Arc<PselCounter>>,
 }
 
 impl NaiveCache {
     fn new(
         num_sets: usize,
         assoc: usize,
+        psel: Option<Arc<PselCounter>>,
         mut factory: impl FnMut(usize) -> Box<dyn SetPolicy>,
     ) -> NaiveCache {
         NaiveCache {
@@ -149,6 +159,7 @@ impl NaiveCache {
                 })
                 .collect(),
             stats: CacheStats::default(),
+            psel,
         }
     }
 
@@ -243,6 +254,14 @@ impl NaiveCache {
     fn set_contents(&self, set: usize) -> Vec<Option<u64>> {
         self.sets[set].tags.clone()
     }
+
+    fn valid_lines(&self) -> Vec<(u64, LineState)> {
+        self.sets
+            .iter()
+            .flat_map(|set| set.tags.iter().zip(&set.states))
+            .filter_map(|(tag, &state)| tag.map(|block| (block * LINE_SIZE, state)))
+            .collect()
+    }
 }
 
 /// One generated operation against both models.
@@ -254,10 +273,13 @@ enum Op {
     SetState(u64, LineState),
     StateOf(u64),
     Flush,
+    /// Reset to a fresh cache seed: in place on the arena, by rebuilding
+    /// the oracle.
+    Reset(u64),
 }
 
 /// Draws one [`Op`], weighted toward accesses so replacement state gets
-/// exercised deeply, with flushes rare.
+/// exercised deeply, with flushes and resets rare.
 struct OpStrategy;
 
 impl Strategy for OpStrategy {
@@ -269,21 +291,74 @@ impl Strategy for OpStrategy {
             1 => LineState::Shared,
             _ => LineState::Modified,
         };
-        match (0u8..19).generate(rng) {
+        match (0u8..21).generate(rng) {
             0..=11 => Op::Access(paddr, state),
             12 | 13 => Op::Invalidate(paddr),
             14 | 15 => Op::SetState(paddr, state),
             16 | 17 => Op::StateOf(paddr),
-            _ => Op::Flush,
+            18 => Op::Flush,
+            _ => Op::Reset((0..u64::MAX).generate(rng)),
         }
     }
 }
 
-/// Drives the same stream through both models and checks every observable.
-fn check_equivalence(mut arena: Cache, mut oracle: NaiveCache, ops: &[Op]) {
+/// Checks every observable of the two models: stats, per-set contents,
+/// the MESI state of every block, the valid-line list and the PSEL counter.
+/// These are all reads, so the arena's rewind count must not move.
+fn assert_same(arena: &Cache, arena_psel: Option<&PselCounter>, oracle: &NaiveCache, at: &str) {
+    let sets_reset = arena.sets_reset();
+    assert_eq!(arena.stats(), oracle.stats, "{at}: stats");
+    for set in 0..arena.num_sets() {
+        assert_eq!(
+            arena.set_contents(set),
+            oracle.set_contents(set),
+            "{at}: contents of set {set}"
+        );
+    }
+    for block in 0..BLOCK_SPAN {
+        let paddr = block * LINE_SIZE;
+        assert_eq!(
+            arena.state_of(paddr),
+            oracle.state_of(paddr),
+            "{at}: state of block {block}"
+        );
+    }
+    let mut lines: Vec<_> = arena.valid_lines().collect();
+    let mut expected = oracle.valid_lines();
+    lines.sort_unstable();
+    expected.sort_unstable();
+    assert_eq!(lines, expected, "{at}: valid lines");
+    assert_eq!(
+        arena_psel.map(PselCounter::value),
+        oracle.psel.as_deref().map(PselCounter::value),
+        "{at}: PSEL"
+    );
+    assert_eq!(arena.sets_reset(), sets_reset, "{at}: reads rewound a set");
+}
+
+/// Drives the same stream through both models and checks every observable
+/// after every op. `oracle_for(seed)` builds a fresh oracle for a cache
+/// seed; the arena was built for `case_seed` and shares `arena_psel`, if
+/// any, between its dueling sets.
+///
+/// Also pins the rewind count exactly: after a reset, each set is rewound
+/// once, by the first access (hit probe or fill) or flush that reaches it,
+/// and never by invalidations, state writes or reads of a stale set.
+fn check_equivalence(
+    mut arena: Cache,
+    arena_psel: Option<&PselCounter>,
+    mut oracle_for: impl FnMut(u64) -> NaiveCache,
+    case_seed: u64,
+    ops: &[Op],
+) {
+    let mut oracle = oracle_for(case_seed);
+    let mut stale = vec![false; arena.num_sets()];
+    let mut rewinds = 0u64;
     for (i, &op) in ops.iter().enumerate() {
         match op {
             Op::Access(paddr, state) => {
+                let set = arena.set_index(paddr);
+                rewinds += u64::from(std::mem::take(&mut stale[set]));
                 let a = arena.access_with_state(paddr);
                 let o = oracle.access_with_state(paddr);
                 assert_eq!(a, o, "op {i}: hit/state mismatch at {paddr:#x}");
@@ -307,26 +382,28 @@ fn check_equivalence(mut arena: Cache, mut oracle: NaiveCache, ops: &[Op]) {
                 assert_eq!(arena.state_of(paddr), oracle.state_of(paddr), "op {i}");
             }
             Op::Flush => {
+                rewinds += stale.iter().filter(|&&s| s).count() as u64;
+                stale.fill(false);
                 arena.flush_all();
                 oracle.flush_all();
             }
+            Op::Reset(seed) => {
+                // The hierarchy recentres the PSEL alongside the caches.
+                arena.reset_seeded(seed);
+                if let Some(psel) = arena_psel {
+                    psel.reset();
+                }
+                oracle = oracle_for(seed);
+                stale.fill(true);
+            }
         }
-    }
-    assert_eq!(arena.stats(), oracle.stats);
-    for set in 0..arena.num_sets() {
-        assert_eq!(
-            arena.set_contents(set),
-            oracle.set_contents(set),
-            "final contents of set {set}"
+        assert_same(
+            &arena,
+            arena_psel,
+            &oracle,
+            &format!("after op {i} ({op:?})"),
         );
-    }
-    for block in 0..BLOCK_SPAN {
-        let paddr = block * LINE_SIZE;
-        assert_eq!(
-            arena.state_of(paddr),
-            oracle.state_of(paddr),
-            "final state of block {block}"
-        );
+        assert_eq!(arena.sets_reset(), rewinds, "op {i}: sets rewound");
     }
 }
 
@@ -340,7 +417,13 @@ const POLICIES: &[&str] = &[
     "RANDOM",
     "QLRU_H11_M1_R0_U0",
     "QLRU_H00_M1_R2_U1",
+    "QLRU_H11_MR161_R1_U2",
+    "QLRU_H00_MR162_R0_U0_UMO",
 ];
+
+/// Policy B of the generated dueling caches: a deterministic QLRU and the
+/// probabilistic leader-B policies of the Ivy Bridge-family L3s.
+const DUELING_B: &[&str] = &["QLRU_H00_M1_R2_U1", "QLRU_H11_MR161_R1_U2"];
 
 /// The dueling role of set `set` in the generated caches: set 0 leads for
 /// policy A, set 1 for policy B, the rest follow.
@@ -362,14 +445,16 @@ proptest! {
         ops in collection::vec(OpStrategy, 1..200),
     ) {
         let kind = PolicyKind::parse(POLICIES[policy_idx]).unwrap();
-        let arena = Cache::with_policies(NUM_SETS, assoc, |set| {
-            kind.try_instantiate(assoc, set_seed(case_seed, set))
+        let arena = Cache::with_policies(NUM_SETS, assoc, case_seed, set_seed, |_, seed| {
+            kind.try_instantiate(assoc, seed)
         })
         .unwrap();
-        let oracle = NaiveCache::new(NUM_SETS, assoc, |set| {
-            concrete(&kind, assoc, set_seed(case_seed, set))
-        });
-        check_equivalence(arena, oracle, &ops);
+        let oracle_for = |seed| {
+            NaiveCache::new(NUM_SETS, assoc, None, |set| {
+                concrete(&kind, assoc, set_seed(seed, set))
+            })
+        };
+        check_equivalence(arena, None, oracle_for, case_seed, &ops);
     }
 
     /// Set dueling: `DuelingSet` slots against the oracle's own leader and
@@ -377,33 +462,35 @@ proptest! {
     /// that must evolve identically.
     #[test]
     fn dueling_cache_matches_naive_model(
+        b_idx in 0..DUELING_B.len(),
         assoc in prop_oneof![Just(4usize), Just(8usize)],
         case_seed in 0..u64::MAX,
         ops in collection::vec(OpStrategy, 1..200),
     ) {
         let a = PolicyKind::Lru;
-        let b = PolicyKind::parse("QLRU_H00_M1_R2_U1").unwrap();
+        let b = PolicyKind::parse(DUELING_B[b_idx]).unwrap();
         let arena_psel = PselCounter::new();
-        let arena = Cache::with_policies(NUM_SETS, assoc, |set| {
-            DuelingSet::try_new(role_of(set), &a, &b, assoc, set_seed(case_seed, set), &arena_psel)
+        let arena = Cache::with_policies(NUM_SETS, assoc, case_seed, set_seed, |set, seed| {
+            DuelingSet::try_new(role_of(set), &a, &b, assoc, seed, &arena_psel)
         })
         .unwrap();
-        let oracle_psel = PselCounter::new();
-        let oracle = NaiveCache::new(NUM_SETS, assoc, |set| -> Box<dyn SetPolicy> {
-            let sa = set_seed(case_seed, set);
-            let sb = sa ^ B_SEED_SALT;
-            let psel = Arc::clone(&oracle_psel);
-            match role_of(set) {
-                SetRole::LeaderA => Box::new(NaiveLeader { inner: concrete(&a, assoc, sa), psel, is_a: true }),
-                SetRole::LeaderB => Box::new(NaiveLeader { inner: concrete(&b, assoc, sb), psel, is_a: false }),
-                SetRole::Follower => Box::new(NaiveFollower {
-                    a: concrete(&a, assoc, sa),
-                    b: concrete(&b, assoc, sb),
-                    psel,
-                }),
-            }
-        });
-        check_equivalence(arena, oracle, &ops);
-        prop_assert_eq!(arena_psel.value(), oracle_psel.value());
+        let oracle_for = |seed| {
+            let oracle_psel = PselCounter::new();
+            NaiveCache::new(NUM_SETS, assoc, Some(Arc::clone(&oracle_psel)), |set| -> Box<dyn SetPolicy> {
+                let sa = set_seed(seed, set);
+                let sb = sa ^ B_SEED_SALT;
+                let psel = Arc::clone(&oracle_psel);
+                match role_of(set) {
+                    SetRole::LeaderA => Box::new(NaiveLeader { inner: concrete(&a, assoc, sa), psel, is_a: true }),
+                    SetRole::LeaderB => Box::new(NaiveLeader { inner: concrete(&b, assoc, sb), psel, is_a: false }),
+                    SetRole::Follower => Box::new(NaiveFollower {
+                        a: concrete(&a, assoc, sa),
+                        b: concrete(&b, assoc, sb),
+                        psel,
+                    }),
+                }
+            })
+        };
+        check_equivalence(arena, Some(&arena_psel), oracle_for, case_seed, &ops);
     }
 }

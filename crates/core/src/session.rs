@@ -431,7 +431,10 @@ impl Session {
 
     /// Restores the deterministic initial state — registers, PMU, caches,
     /// branch predictor, memory contents, interrupt and random streams —
-    /// without reallocating the machine or the arenas.
+    /// without reallocating the machine or the arenas. The cost does not
+    /// grow with cache size: each cache only starts a new epoch, its sets
+    /// read as empty at once and are rewound on first touch
+    /// ([`Machine::reset_with_seed`]).
     pub fn reset(&mut self) {
         self.machine.reset();
     }
@@ -919,7 +922,9 @@ impl Campaign {
     /// Runs an arbitrary session-based job for every element of `jobs`,
     /// sharded across workers, returning results in job order. The closure
     /// receives a session already reset to the job's seed, the job, and
-    /// its index.
+    /// its index. The reset is O(1) in cache size (the caches rewind a set
+    /// only when the job first touches it), so a job the closure answers
+    /// without simulating — a result-store hit — costs no cache work.
     ///
     /// # Errors
     ///

@@ -5,13 +5,18 @@
 //! identical to sequential fresh-session runs. The machine contract:
 //! `Machine::reset()` + rerun equals a fresh machine making the same
 //! allocation calls — in kernel *and* user mode, where page mappings and
-//! the interrupt stream are random-seeded.
+//! the interrupt stream are random-seeded — on every microarchitecture,
+//! even though a reset is O(1) and the caches rewind their sets lazily.
 
+use nanobench_cache::hierarchy::{HitLevel, L3PolicyConfig, SnoopResult};
+use nanobench_cache::{Cache, CacheStats, LineState};
 use nanobench_core::{BenchSpec, Campaign, Session, NB_SEED};
 use nanobench_machine::{Machine, Mode};
+use nanobench_uarch::engine::RunStats;
 use nanobench_uarch::port::MicroArch;
 use nanobench_x86::asm::parse_asm;
 use nanobench_x86::reg::Gpr;
+use nanobench_x86::Instruction;
 
 /// A mixed batch the shape of a real campaign: ALU chains, loads/stores
 /// against the arenas, a looped benchmark, and different aggregates.
@@ -385,4 +390,220 @@ fn session_reset_replays_noisy_user_benchmarks() {
     let first = session.run(&spec).unwrap();
     session.reset();
     assert_eq!(session.run(&spec).unwrap(), first);
+}
+
+/// Every observable of a machine's caches: each cache's statistics and
+/// valid lines (each core's L1 and L2, then the L3 slices) and the PSEL
+/// counter.
+type CacheView = (Vec<CacheStats>, Vec<Vec<(u64, LineState)>>, i32);
+
+fn cache_view(machine: &Machine) -> CacheView {
+    let h = machine.hierarchy();
+    (
+        h.caches().map(Cache::stats).collect(),
+        h.caches().map(|c| c.valid_lines().collect()).collect(),
+        h.psel().value(),
+    )
+}
+
+/// Sets holding at least one valid line, summed over every cache: after a
+/// reset, exactly the sets that work since then has rewound (as long as
+/// nothing was invalidated).
+fn nonempty_sets(machine: &Machine) -> u64 {
+    machine
+        .hierarchy()
+        .caches()
+        .map(|c| {
+            let mut sets: Vec<usize> = c.valid_lines().map(|(p, _)| c.set_index(p)).collect();
+            sets.sort_unstable();
+            sets.dedup();
+            sets.len() as u64
+        })
+        .sum()
+}
+
+/// A §V-suite-shaped throughput benchmark: independent copies of a few
+/// instructions, one of them a load, with port and L1-hit counters.
+fn suite_variant() -> BenchSpec {
+    let mut spec = BenchSpec::new();
+    spec.asm("imul rax, rbx; mov rcx, [r14]; mulps xmm1, xmm2")
+        .unwrap()
+        .config_str(
+            "0E.01 UOPS_ISSUED.ANY\nA1.01 UOPS_DISPATCHED_PORT.PORT_0\n\
+             D1.01 MEM_LOAD_RETIRED.L1_HIT",
+        )
+        .unwrap()
+        .unroll_count(50)
+        .warm_up_count(2)
+        .n_measurements(5);
+    spec
+}
+
+/// Lays a pointer chase at `base` that thrashes some L3 follower sets and
+/// slice 0's first leader-set range (§VI-D: sets 512–575, which lead for
+/// policy A on every dueling part, so the PSEL leaves its midpoint): 2 × assoc ×
+/// slices rows of lines one slice-set stride apart (`base` rounded up to
+/// that stride; the region must span one row more), so every chased
+/// (slice, set) sees about twice its associativity. Returns the chase
+/// program and the first line (start it with R14 there).
+fn l3_chase(machine: &mut Machine, base: u64) -> (Vec<Instruction>, u64) {
+    let l3 = &machine.hierarchy().config().l3;
+    let (sets, rows) = (
+        l3.sets_per_slice() as u64,
+        (2 * l3.assoc * l3.slices) as u64,
+    );
+    // Kernel mode maps identically, so aligning the virtual base to the
+    // slice-set stride puts row line `set` in L3 set `set`.
+    let base = base.next_multiple_of(sets * 64);
+    let h = machine.hierarchy();
+    let lines: Vec<u64> = (0..rows)
+        .flat_map(|row| {
+            (0..64u64)
+                .step_by(8)
+                .chain((512..576).step_by(4))
+                .map(move |set| base + (row * sets + set % sets) * 64)
+        })
+        .filter(|&line| h.l3_location(line).1 < 512 || h.l3_location(line).0 == 0)
+        .collect();
+    for pair in lines.windows(2) {
+        machine.write_mem(pair[0], 8, pair[1]).unwrap();
+    }
+    let chase = parse_asm(&"mov r14, [r14]; ".repeat(lines.len() - 1)).unwrap();
+    (chase, lines[0])
+}
+
+/// A kernel session over `Machine::new(uarch, Kernel, seed)`, plus the
+/// region [`l3_chase`] runs in.
+fn session_with_chase_region(uarch: MicroArch, seed: u64) -> (Session, u64) {
+    let mut session = Session::with_machine(Machine::new(uarch, Mode::Kernel, seed));
+    let l3 = &session.machine().hierarchy().config().l3;
+    let bytes = (2 * l3.assoc * l3.slices + 1) as u64 * l3.sets_per_slice() as u64 * 64;
+    let base = session.machine_mut().alloc_region(bytes);
+    (session, base)
+}
+
+/// Runs the suite variant and then the L3 chase; returns everything they
+/// report.
+fn run_variant_and_chase(
+    session: &mut Session,
+    base: u64,
+) -> (nanobench_core::BenchmarkResult, RunStats) {
+    let result = session.run(&suite_variant()).unwrap();
+    let machine = session.machine_mut();
+    let (chase, start) = l3_chase(machine, base);
+    machine.state_mut().set_gpr(Gpr::R14, start);
+    let stats = machine.run_plan(&machine.decode(&chase)).unwrap();
+    (result, stats)
+}
+
+#[test]
+fn reset_equals_fresh_on_every_microarchitecture() {
+    // A machine dirtied by a suite variant and an L3-thrashing chase, then
+    // reset to seed `s`, must be indistinguishable from a fresh machine
+    // built with `s`: right after the reset (stale sets read as empty) and
+    // through its next run (sets rewound on first touch replay the
+    // construction-time random streams, leader-B QLRU sets included).
+    let s = 0x5EED;
+    for uarch in MicroArch::ALL {
+        let (mut dirty, base) = session_with_chase_region(uarch, 77);
+        run_variant_and_chase(&mut dirty, base);
+        let h = dirty.machine().hierarchy();
+        assert!(
+            h.l3_stats().evictions > 0,
+            "{uarch:?}: the chase must thrash the L3"
+        );
+        if matches!(h.config().l3.policy, L3PolicyConfig::Adaptive { .. }) {
+            assert_ne!(h.psel().value(), 512, "{uarch:?}: the chase must move PSEL");
+        }
+        dirty.reset_with_seed(s);
+
+        let (mut fresh, fresh_base) = session_with_chase_region(uarch, s);
+        assert_eq!(base, fresh_base, "{uarch:?}: allocation addresses");
+        assert_eq!(
+            cache_view(dirty.machine()),
+            cache_view(fresh.machine()),
+            "{uarch:?}: right after the reset"
+        );
+        assert_eq!(
+            run_variant_and_chase(&mut dirty, base),
+            run_variant_and_chase(&mut fresh, fresh_base),
+            "{uarch:?}: next run"
+        );
+        assert_eq!(
+            format!("{:?}", dirty.machine().pmu()),
+            format!("{:?}", fresh.machine().pmu()),
+            "{uarch:?}: PMU"
+        );
+        assert_eq!(
+            cache_view(dirty.machine()),
+            cache_view(fresh.machine()),
+            "{uarch:?}: caches after the next run"
+        );
+    }
+}
+
+#[test]
+fn reset_leaves_no_stale_line_for_snoops_or_the_audit() {
+    // Core 0 holds a line Modified; after a reset, core 1's write to it must
+    // find no remote copy, and the audit must see a coherent hierarchy.
+    let mut machine = Machine::with_cores(MicroArch::Skylake, Mode::Kernel, 77, 2);
+    let line = machine.alloc_region(4096);
+    let h = machine.hierarchy_mut();
+    h.access_from(0, line, true).unwrap();
+    assert_eq!(h.line_state(0, line).unwrap(), LineState::Modified);
+    machine.reset();
+
+    let h = machine.hierarchy_mut();
+    assert_eq!(h.line_state(0, line).unwrap(), LineState::Invalid);
+    assert_eq!(h.probe_level_from(0, line).unwrap(), HitLevel::Memory);
+    let write = h.access_from(1, line, true).unwrap();
+    assert_eq!(write.snoop, SnoopResult::Miss, "snoop hit a stale line");
+    assert_eq!(write.invalidated, 0);
+    assert_eq!(write.level, HitLevel::Memory);
+    assert_eq!(h.line_state(0, line).unwrap(), LineState::Invalid);
+    assert_eq!(h.line_state(1, line).unwrap(), LineState::Modified);
+    assert_eq!(h.check_invariants(), Ok(()));
+}
+
+#[test]
+fn resets_rewind_only_the_sets_a_job_touches_and_reads_rewind_none() {
+    let mut machine = Machine::new(MicroArch::Skylake, Mode::Kernel, 77);
+    let base = machine.alloc_region(1 << 16);
+    drive(&mut machine, base);
+    assert!(machine.hierarchy().sets_reset() == 0, "no reset yet");
+
+    machine.reset_with_seed(0x5EED);
+    machine.reset();
+    let before = machine.hierarchy().sets_reset();
+    // Reads of stale sets see nothing and rewind nothing.
+    let h = machine.hierarchy();
+    assert_eq!(h.check_invariants(), Ok(()));
+    assert_eq!(h.line_state(0, base).unwrap(), LineState::Invalid);
+    assert_eq!(h.probe_level(base), HitLevel::Memory);
+    assert_eq!(
+        h.caches().map(|c| c.valid_lines().count()).sum::<usize>(),
+        0
+    );
+    assert_eq!(
+        machine.hierarchy().sets_reset(),
+        before,
+        "reads rewound sets"
+    );
+
+    // A one-load job rewinds exactly the L1, L2 and L3 sets it fills
+    // (prefetches included): one of each for the demand line, at least.
+    machine.state_mut().set_gpr(Gpr::R14, base);
+    let load = machine.decode(&parse_asm("mov rax, [r14]").unwrap());
+    machine.run_plan(&load).unwrap();
+    let rewound = machine.hierarchy().sets_reset() - before;
+    assert!(rewound >= 3, "one L1, L2 and L3 set at least: {rewound}");
+    assert_eq!(rewound, nonempty_sets(&machine));
+
+    // Reading the result rewinds nothing; rerunning the load hits.
+    let h = machine.hierarchy();
+    assert_eq!(h.check_invariants(), Ok(()));
+    assert_eq!(h.probe_level(base), HitLevel::L1);
+    assert_eq!(h.line_state(0, base).unwrap(), LineState::Exclusive);
+    machine.run_plan(&load).unwrap();
+    assert_eq!(machine.hierarchy().sets_reset() - before, rewound);
 }

@@ -3,7 +3,7 @@
 //! machine-readable XML file" — we emit aligned text and JSON).
 
 use crate::measure::{measure_instruction_on, InstMeasurement, InstSpec};
-use nanobench_core::{Campaign, NbError};
+use nanobench_core::{Campaign, NbError, Session};
 use nanobench_store::{ByteReader, ByteWriter, ResultStore, StoreKey};
 use nanobench_uarch::port::MicroArch;
 use serde::Serialize;
@@ -366,22 +366,32 @@ pub fn run_suite_stored(
     campaign: &Campaign,
     store: &ResultStore,
 ) -> Result<Vec<TableRow>, NbError> {
-    let suite = benchmark_suite();
-    let machine_fp = campaign.machine_fingerprint();
-    campaign.run_map(&suite, |session, spec, j| {
-        let key = StoreKey {
-            spec: spec.fingerprint(),
-            uarch: machine_fp,
-            seed: campaign.seed() ^ j as u64,
-            version: TABLE_FORMAT_VERSION,
-        };
-        store.get_or_compute(
-            key,
-            TableRow::from_store_bytes,
-            TableRow::to_store_bytes,
-            || measure_instruction_on(session, spec).map(TableRow::from),
-        )
+    campaign.run_map(&benchmark_suite(), |session, spec, j| {
+        stored_row(campaign, store, session, spec, j)
     })
+}
+
+/// Job `j` of [`run_suite_stored`]: the row from `store` if the identical
+/// measurement ran before, else measured on `session` and published.
+fn stored_row(
+    campaign: &Campaign,
+    store: &ResultStore,
+    session: &mut Session,
+    spec: &InstSpec,
+    j: usize,
+) -> Result<TableRow, NbError> {
+    let key = StoreKey {
+        spec: spec.fingerprint(),
+        uarch: campaign.machine_fingerprint(),
+        seed: campaign.seed() ^ j as u64,
+        version: TABLE_FORMAT_VERSION,
+    };
+    store.get_or_compute(
+        key,
+        TableRow::from_store_bytes,
+        TableRow::to_store_bytes,
+        || measure_instruction_on(session, spec).map(TableRow::from),
+    )
 }
 
 /// Renders rows as an aligned text table.
@@ -515,6 +525,35 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.hits as usize, cold.len());
         assert_eq!(stats.inserts as usize, cold.len());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn warm_stored_suite_pass_rewinds_no_cache_set() {
+        // Every job of a warm pass is a store hit, and a reset is only an
+        // epoch bump, so the pass leaves every cache set untouched. The
+        // closure returns the job's row and its worker's cumulative
+        // rewind count.
+        let path = std::env::temp_dir().join(format!("nbstore-rewind-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let store = ResultStore::open(&path).unwrap();
+        let campaign = Campaign::kernel(MicroArch::Skylake).workers(1);
+        let pass = || {
+            campaign
+                .run_map(&benchmark_suite(), |session, spec, j| {
+                    let row = stored_row(&campaign, &store, session, spec, j)?;
+                    Ok((row, session.machine().hierarchy().sets_reset()))
+                })
+                .unwrap()
+        };
+        let cold = pass();
+        assert!(cold.last().unwrap().1 > 0, "measuring rewinds sets");
+        let warm = pass();
+        assert_eq!(store.stats().hits as usize, warm.len(), "all jobs hit");
+        for ((warm_row, rewound), (cold_row, _)) in warm.iter().zip(&cold) {
+            assert_eq!(warm_row, cold_row);
+            assert_eq!(*rewound, 0, "{}: a store hit rewound sets", warm_row.name);
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -446,6 +446,12 @@ impl Machine {
     /// The kernel heap cursor ([`Machine::alloc_contiguous`]) is the one
     /// piece that persists: contiguous allocations stay reserved, though
     /// the allocator's random stream is rewound.
+    ///
+    /// The cost does not grow with the caches: the hierarchy reset only
+    /// starts a new epoch in each cache ([`CacheHierarchy::reset`]).
+    /// Stale sets read as empty — so [`Machine::hierarchy`] shows the
+    /// just-built state at once — and each is rewound on the first access
+    /// that lands in it.
     pub fn reset_with_seed(&mut self, seed: u64) {
         self.seed = seed;
         for (i, core) in self.cores.iter_mut().enumerate() {
